@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .gauge_core import GaugeField, GaugeTransform, apply_gauge, load_gauge_field, psi
+from .gauge_core import apply_gauge, load_gauge_field, psi
 from .gauge_fixing import gauge_fix
 from .lattice_geom import (
     ConfigurationError,
@@ -125,7 +125,7 @@ def cmd_sample(args):
     config = {"mode": args.mode, "N": args.N, "samples": args.samples,
               "seed": seed, "method": args.method,
               "potential_c": args.potential_c, "burn_in": args.burn_in,
-              "thin": args.thin, "chains": args.chains, "threads": args.threads}
+              "thin": args.thin, "chains": args.chains}
     if args.mode == "pure":
         gen = stream(seed, geom.N, tag="")
         X = sample_pure_angles(geom, gen, count=args.samples)
@@ -133,8 +133,7 @@ def cmd_sample(args):
     else:
         cfg = ChainConfig(samples=args.samples, burn_in=args.burn_in,
                           thin=args.thin, n_chains=args.chains, seed=seed)
-        res = sample_interacting(geom, _potential(args), cfg,
-                                 method=args.method, threads=args.threads)
+        res = sample_interacting(geom, _potential(args), cfg, method=args.method)
         X = res.flat()
         acc = res.acceptance.tolist()
         config["proposal_std"] = res.proposal_std
@@ -313,8 +312,6 @@ def cmd_verify(args):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="u1higgs",
                                 description=__doc__.splitlines()[0])
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker parallelism (results are thread-count independent)")
     sub = p.add_subparsers(dest="command")
 
     q = sub.add_parser("lattice", help="build and dump a lattice geometry")

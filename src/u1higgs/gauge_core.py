@@ -9,11 +9,11 @@ vertical bonds (k1,k2)->(k1,k2+1) in `theta_v[k1, k2]` (shape (n+1, n)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_geom import Bond, DomainError, LatticeGeometry, MaximalTree, build_lattice
+from .lattice_geom import Bond, DomainError, LatticeGeometry, build_lattice
 
 TWO_PI = 2.0 * np.pi
 
@@ -175,10 +175,6 @@ def apply_gauge(g: GaugeField, u: GaugeTransform) -> GaugeField:
     return GaugeField(g.geom, th, tv)
 
 
-def inverse_transform(u: GaugeTransform) -> GaugeTransform:
-    return GaugeTransform(u.geom, wrap_angle(-u.angles))
-
-
 @dataclass(frozen=True)
 class LatticeLoop:
     """Closed nearest-neighbour node sequence (l_0, ..., l_n = l_0)."""
@@ -223,11 +219,6 @@ def holonomy(g: GaugeField, loop: LatticeLoop) -> complex:
     return complex(np.cos(total), np.sin(total))
 
 
-def holonomy_angle_sum(g: GaugeField, loop: LatticeLoop) -> float:
-    """Unwrapped sum of bond angles along the loop (not reduced mod 2*pi)."""
-    return float(sum(g.bond_angle(a, b) for (a, b) in zip(loop.nodes, loop.nodes[1:])))
-
-
 def winding_vector(loop: LatticeLoop) -> np.ndarray:
     """Winding number of the loop around each plaquette centre, shape (n, n).
 
@@ -257,13 +248,6 @@ def omega_exact(loop: LatticeLoop):
 
 def omega(loop: LatticeLoop) -> float:
     return float(omega_exact(loop))
-
-
-def winding_holonomy(g: GaugeField, w: np.ndarray) -> complex:
-    """prod_p g(boundary p)^{w(p)} for an integer plaquette map w."""
-    ang = g.plaquette_angles()
-    total = float((w * ang).sum())
-    return complex(np.cos(total), np.sin(total))
 
 
 def covariant_laplacian(g: GaugeField) -> np.ndarray:

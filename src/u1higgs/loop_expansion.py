@@ -20,8 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,27 +157,25 @@ class RadialMeasure:
         total, _ = integrate.quad(f, 0.0, np.inf, limit=200)
         if not np.isfinite(total) or total >= 1e280:
             raise NumericalError("density integral with growth term diverges")
-        R = 2.0
-        for _ in range(60):
-            tail, _ = integrate.quad(f, R, np.inf, limit=200)
-            if tail <= tol * max(total, 1e-300):
-                return R
-            R *= 1.5
-        raise NumericalError("could not find a truncation radius")
+        return _tail_radius(f, total, tol)
 
     def radius_for_moment(self, jmax: int, tol: float = 1e-13) -> float:
         """Radius R whose tail contribution to moment(jmax) is below tol."""
         if self.kind != "density":
             raise DomainError("radius_for_moment applies to density measures")
-        f = lambda s: self.density(s) * s ** (2 * jmax)
-        total = self.moment(jmax)
-        R = 2.0
-        for _ in range(60):
-            tail, _ = integrate.quad(f, R, np.inf, limit=200)
-            if tail <= tol * max(total, 1e-300):
-                return R
-            R *= 1.5
-        raise NumericalError("could not find a truncation radius")
+        return _tail_radius(lambda s: self.density(s) * s ** (2 * jmax),
+                            self.moment(jmax), tol)
+
+
+def _tail_radius(f, total: float, tol: float) -> float:
+    """First R in 2 * 1.5^k whose tail integral of f is below tol * total."""
+    R = 2.0
+    for _ in range(60):
+        tail, _ = integrate.quad(f, R, np.inf, limit=200)
+        if tail <= tol * max(total, 1e-300):
+            return R
+        R *= 1.5
+    raise NumericalError("could not find a truncation radius")
 
 
 def check_log_convex_moments(lam: RadialMeasure, jmax: int = 10, tol: float = 1e-9) -> bool:
@@ -297,19 +294,12 @@ class RealLoopClass:
 
 
 @dataclass(frozen=True)
-class ComplexPathClass:
-    edges: tuple[int, ...]
+class PathClass:
+    """Open edge sequence (complex) or signed edge sequence up to reversal
+    (real); S = 2 for real palindromes, else 1."""
+
+    edges: tuple
     S: int = 1
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class RealPathClass:
-    edges: tuple[tuple[int, int], ...]
-    S: int = 1  # 2 for palindromes
 
     @property
     def length(self) -> int:
@@ -394,10 +384,7 @@ def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str,
         if len(seq) >= max_len:
             return
         for (e, p, nxt) in out_by_vertex.get(cur, ()):
-            if fieldtag == "C":
-                seq.append(e)
-            else:
-                seq.append((e, p))
+            seq.append(e if fieldtag == "C" else (e, p))
             dfs(start, nxt, seq)
             seq.pop()
 
@@ -427,13 +414,13 @@ def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
         if fieldtag == "C":
             key = tuple(seq)
             if key not in classes:
-                classes[key] = ComplexPathClass(key, 1)
+                classes[key] = PathClass(key, 1)
         else:
             norm = _real_normalize(G, tuple(seq))
             rev = _real_reverse(G, norm)
             canon = min(norm, rev)
             if canon not in classes:
-                classes[canon] = RealPathClass(canon, 2 if norm == rev else 1)
+                classes[canon] = PathClass(canon, 2 if norm == rev else 1)
 
     def first_is_self(seq):
         e0 = seq[0] if fieldtag == "C" else seq[0][0]
@@ -461,36 +448,30 @@ def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
     return sorted(classes.values(), key=lambda c: (c.length, c.edges))
 
 
-def loop_trace(cls, M: OperatorAssignment):
-    """Trace of the ordered matrix product (transpose where a real edge is
-    traversed against its orientation); value is representative-independent."""
-    prod = np.eye(M.dim, dtype=complex if M.fieldtag == "C" else float)
-    if isinstance(cls, (ComplexLoopClass, ComplexPathClass)):
-        for e in cls.edges:
-            prod = prod @ M.mats[e]
-    else:
-        for (e, p) in cls.edges:
-            prod = prod @ (M.mats[e] if p == 1 else M.mats[e].T)
-    tr = np.trace(prod)
-    return complex(tr) if M.fieldtag == "C" else float(tr)
-
-
 def path_matrix(cls, M: OperatorAssignment) -> np.ndarray:
+    """Ordered matrix product along the class's edges, transposed where a
+    real edge is traversed against its orientation."""
     prod = np.eye(M.dim, dtype=complex if M.fieldtag == "C" else float)
-    if isinstance(cls, ComplexPathClass):
-        for e in cls.edges:
-            prod = prod @ M.mats[e]
-    else:
-        for (e, p) in cls.edges:
+    for step in cls.edges:
+        if M.fieldtag == "C":
+            prod = prod @ M.mats[step]
+        else:
+            e, p = step
             prod = prod @ (M.mats[e] if p == 1 else M.mats[e].T)
     return prod
 
 
-def _loop_endpoints_and_incidence(G: MultiGraph, cls) -> dict:
+def loop_trace(cls, M: OperatorAssignment):
+    """Trace of the ordered matrix product; value is representative-independent."""
+    tr = np.trace(path_matrix(cls, M))
+    return complex(tr) if M.fieldtag == "C" else float(tr)
+
+
+def _incidence(G: MultiGraph, cls) -> dict:
+    """Vertex -> number of edge ends of the class at that vertex."""
     inc: dict = {}
-    edges = [e if isinstance(e, int) else e[0] for e in cls.edges]
-    for e in edges:
-        a, b = G.edges[e]
+    for step in cls.edges:
+        a, b = G.edges[step if isinstance(step, int) else step[0]]
         inc[a] = inc.get(a, 0) + 1
         inc[b] = inc.get(b, 0) + 1
     return inc
@@ -528,10 +509,57 @@ def _class_signature(cls, mult: int) -> str:
 
 
 def _site_coeffs(G: MultiGraph, lam: dict, fieldtag: str, d: int, jmax: int):
-    table = {}
-    for v in G.vertices:
-        table[v] = [c_coeff(j, lam[v], fieldtag, d) for j in range(jmax + 1)]
-    return table
+    return {v: [c_coeff(j, lam[v], fieldtag, d) for j in range(jmax + 1)]
+            for v in G.vertices}
+
+
+def _multisets(lengths, incidences, max_total):
+    """Every multiset of items with total length <= max_total, depth first
+    in pre-order: the empty multiset, then for each item (by index) each
+    multiplicity followed by the multisets over the later items.
+
+    `lengths` must be nondecreasing.  Yields (picked, inc): `picked` lists
+    (item index, multiplicity) by increasing index, `inc` maps each vertex
+    to its summed incidence count.  Both are updated in place between
+    yields, so a caller copies whatever must outlive the step.  From one
+    yield to the next only the last entry of `picked` is new, and (i, m)
+    with m > 1 directly follows the subtree of (i, m - 1) at the same
+    position, so a caller may extend running products per prefix.
+    """
+    picked, inc = [], {}
+
+    def walk(i, budget):
+        yield picked, inc
+        for ci in range(i, len(lengths)):
+            L = lengths[ci]
+            if L > budget:
+                break
+            added = {}
+            mult = 0
+            while (mult + 1) * L <= budget:
+                mult += 1
+                for v, k in incidences[ci].items():
+                    inc[v] = inc.get(v, 0) + k
+                    added[v] = added.get(v, 0) + k
+                picked.append((ci, mult))
+                yield from walk(ci + 1, budget - mult * L)
+                picked.pop()
+            for v, k in added.items():
+                inc[v] -= k
+                if inc[v] == 0:
+                    del inc[v]
+
+    return walk(0, max_total)
+
+
+def _site_factor(term, coeffs, sites, inc):
+    """term times C_{k/2} at each site with incidence count k."""
+    for v in sites:
+        k = inc.get(v, 0)
+        if k % 2:
+            raise AssertionError("odd incidence count at an expanded site")
+        term = term * coeffs[v][k // 2]
+    return term
 
 
 def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
@@ -552,53 +580,23 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
         raise ResourceError("max_total too large for class enumeration")
     classes = _enumerate_raw(G, max_total, fieldtag)
     values = [loop_trace(c, M) / c.S for c in classes]
-    incidences = [_loop_endpoints_and_incidence(G, c) for c in classes]
-    jmax = max_total  # vertex incidences never exceed 2 * max_total
-    coeffs = _site_coeffs(G, lam, fieldtag, d, jmax)
+    # vertex incidences never exceed 2 * max_total
+    coeffs = _site_coeffs(G, lam, fieldtag, d, max_total)
 
     ledger = []
-    total_value = [0.0 + 0.0j if fieldtag == "C" else 0.0]
-
-    def leaf(picked, inc):
+    value = 0.0 + 0.0j if fieldtag == "C" else 0.0
+    for picked, inc in _multisets([c.length for c in classes],
+                                  [_incidence(G, c) for c in classes], max_total):
         if len(ledger) >= multiset_budget:
             raise ResourceError("multiset enumeration budget exhausted")
-        term = 1.0
-        for v in G.vertices:
-            k = inc.get(v, 0)
-            if k % 2:
-                raise AssertionError("odd incidence count in a closed multiset")
-            term *= coeffs[v][k // 2]
+        term = _site_factor(1.0, coeffs, G.vertices, inc)
         for (ci, mult) in picked:
             term = term * values[ci] ** mult / math.factorial(mult)
         sig = "|".join(_class_signature(classes[ci], m) for (ci, m) in picked) or "empty"
         tl = sum(classes[ci].length * m for (ci, m) in picked)
         ledger.append((sig, tl, term))
-        total_value[0] = total_value[0] + term
+        value = value + term
 
-    def dfs(i, budget, picked, inc):
-        leaf(picked, inc)
-        for ci in range(i, len(classes)):
-            L = classes[ci].length
-            if L > budget:
-                break  # classes sorted by length
-            added = {}
-            mult = 0
-            while (mult + 1) * L <= budget:
-                mult += 1
-                for v, k in incidences[ci].items():
-                    inc[v] = inc.get(v, 0) + k
-                    added[v] = added.get(v, 0) + k
-                picked.append((ci, mult))
-                dfs(ci + 1, budget - mult * L, picked, inc)
-                picked.pop()
-            for v, k in added.items():
-                inc[v] -= k
-                if inc[v] == 0:
-                    del inc[v]
-
-    dfs(0, max_total, [], {})
-
-    value = total_value[0]
     if fieldtag == "R":
         value = float(np.real(value))
     tail = _tail_majorant(G, M, lam, max_total)
@@ -837,8 +835,6 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
     loops = _enumerate_raw(G, max_total, fieldtag, restrict_to=Vbar)
     paths = enumerate_path_classes(G, max_total, fieldtag, inner=Vbar, endpoints=W)
     loop_vals = [loop_trace(c, M) / c.S for c in loops]
-    loop_inc = [_loop_endpoints_and_incidence(G, c) for c in loops]
-    path_inc = [_loop_endpoints_and_incidence(G, c) for c in paths]
 
     # path products are polynomial in phi of degree <= 2 max_total per site:
     # enough angular nodes make the sphere quadrature exact, and the radial
@@ -867,10 +863,7 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
         a, b = _path_endpoints(G, c, fieldtag)
         mat = path_matrix(c, M)
         pa, pb = grids[a][0], grids[b][0]
-        if fieldtag == "C":
-            arr2 = np.einsum("id,de,je->ij", pa.conj(), mat, pb)
-        else:
-            arr2 = np.einsum("id,de,je->ij", pa, mat, pb)
+        arr2 = np.einsum("id,de,je->ij", pa.conj() if fieldtag == "C" else pa, mat, pb)
         ia, ib = W.index(a), W.index(b)
         shape = [1] * len(W)
         if ia == ib:
@@ -881,55 +874,39 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
             shape[ia], shape[ib] = shapes[ia], shapes[ib]
         path_arrays.append((arr / c.S).reshape(shape))
 
-    jmax = max_total
-    coeffs = _site_coeffs(G, {v: lam[v] for v in G.vertices}, fieldtag, d, jmax)
+    coeffs = _site_coeffs(G, lam, fieldtag, d, max_total)
 
-    items = ([("L", i, loops[i].length) for i in range(len(loops))]
-             + [("P", i, paths[i].length) for i in range(len(paths))])
-    items.sort(key=lambda t: t[2])
+    # (length, is_loop, factor, incidence); loops first among equal lengths
+    items = sorted([(c.length, True, v, _incidence(G, c))
+                    for c, v in zip(loops, loop_vals)]
+                   + [(c.length, False, f, _incidence(G, c))
+                      for c, f in zip(paths, path_arrays)], key=lambda t: t[0])
 
-    total = [0.0 + 0.0j if fieldtag == "C" else 0.0]
-
-    def leaf(scalar, integrand, fact, inc):
-        for v in Vbar:
-            k = inc.get(v, 0)
-            if k % 2:
-                raise AssertionError("odd incidence at an expanded site")
-            scalar = scalar * coeffs[v][k // 2]
+    out = 0.0 + 0.0j if fieldtag == "C" else 0.0
+    prefix = []  # prefix[j]: (scalar, integrand, factorials) of picked[:j]
+    for picked, inc in _multisets([t[0] for t in items], [t[3] for t in items],
+                                  max_total):
+        p = len(picked)
+        if p == 0:
+            prefix = [(1.0, None, 1)]
+        else:
+            idx, mult = picked[-1]
+            # multiplicity m extends the entry of m - 1 at the same position
+            scalar, integrand, fact = prefix[p if mult > 1 else p - 1]
+            _, is_loop, f, _ = items[idx]
+            fact = fact * mult
+            if is_loop:
+                scalar = scalar * f
+            else:
+                integrand = f if integrand is None else integrand * f
+            del prefix[p:]
+            prefix.append((scalar, integrand, fact))
+        scalar, integrand, fact = prefix[-1]
+        scalar = _site_factor(scalar, coeffs, Vbar, inc)
         if W:
             scalar = scalar * (wgrid.sum() if integrand is None
                                else (integrand * wgrid).sum())
-        total[0] = total[0] + scalar / fact
-
-    def dfs(i, budget, scalar, integrand, fact, inc):
-        leaf(scalar, integrand, fact, inc)
-        for idx in range(i, len(items)):
-            kind, ci, L = items[idx]
-            if L > budget:
-                break
-            inc_c = loop_inc[ci] if kind == "L" else path_inc[ci]
-            added = {}
-            mult = 0
-            sc, ig, fc = scalar, integrand, fact
-            while (mult + 1) * L <= budget:
-                mult += 1
-                fc = fc * mult  # running multiplicity factorial
-                for v, k in inc_c.items():
-                    inc[v] = inc.get(v, 0) + k
-                    added[v] = added.get(v, 0) + k
-                if kind == "L":
-                    sc = sc * loop_vals[ci]
-                else:
-                    f = path_arrays[ci]
-                    ig = f.copy() if ig is None else ig * f
-                dfs(idx + 1, budget - mult * L, sc, ig, fc, inc)
-            for v, k in added.items():
-                inc[v] -= k
-                if inc[v] == 0:
-                    del inc[v]
-
-    dfs(0, max_total, 1.0, None, 1, {})
-    out = total[0]
+        out = out + scalar / fact
     if fieldtag == "R":
         out = float(np.real(out))
     return out
@@ -956,19 +933,8 @@ class HiggsLoopCoefficients:
     coeffs: dict[tuple[int, ...], float]
 
     def evaluate(self, g) -> float:
-        ang = g.plaquette_angles().T.reshape(-1)  # geometry row-major order
-        total = 0.0
-        for w, c in self.coeffs.items():
-            total += c * math.cos(float(np.dot(np.array(w, dtype=float), ang)))
-        return total
-
-    def evaluate_angles(self, X: np.ndarray) -> float:
-        """Evaluate at plaquette angles directly (X flattened row-major)."""
-        x = np.asarray(X, dtype=float).reshape(-1)
-        total = 0.0
-        for w, c in self.coeffs.items():
-            total += c * math.cos(float(np.dot(np.array(w, dtype=float), x)))
-        return total
+        ws, cs = self.weight_matrix()
+        return float(cs @ np.cos(ws @ g.plaquette_angles().T.reshape(-1)))
 
     def weight_matrix(self):
         """(W, n_plaq) winding matrix and coefficient vector, for vectorized
@@ -1020,52 +986,26 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     classes = _enumerate_raw(G, max_len, "C") if G.edges else []
     cj = [c_coeff(j, lam, "C", 1) for j in range(max_len + 1)]
 
-    n = geom.n
     windings = []
-    incidences = []
     for c in classes:
         nodes = [G.edges[c.edges[0]][0]]
         for e in c.edges:
             nodes.append(G.edges[e][1])
         w = winding_vector(LatticeLoop(tuple(nodes), geom.N))
         windings.append(w.T.reshape(-1))  # geometry row-major plaquette order
-        incidences.append(_loop_endpoints_and_incidence(G, c))
 
     c0_all = cj[0] ** len(G.vertices)
     coeffs: dict[tuple[int, ...], float] = {}
-    zero_w = np.zeros(n * n, dtype=np.int64)
-
-    def leaf(picked, inc, wsum):
+    zero_w = np.zeros(geom.n * geom.n, dtype=np.int64)
+    for picked, inc in _multisets([c.length for c in classes],
+                                  [_incidence(G, c) for c in classes], max_len):
         term = c0_all
         for v, k in inc.items():
             term = term / cj[0] * cj[k // 2]
+        wsum = zero_w
         for (ci, mult) in picked:
             term = term / math.factorial(mult) / float(classes[ci].S) ** mult
+            wsum = wsum + mult * windings[ci]
         key = tuple(int(x) for x in wsum)
         coeffs[key] = coeffs.get(key, 0.0) + term
-
-    def dfs(i, budget, picked, inc, wsum):
-        leaf(picked, inc, wsum)
-        for ci in range(i, len(classes)):
-            L = classes[ci].length
-            if L > budget:
-                break
-            added = {}
-            mult = 0
-            while (mult + 1) * L <= budget:
-                mult += 1
-                for v, k in incidences[ci].items():
-                    inc[v] = inc.get(v, 0) + k
-                    added[v] = added.get(v, 0) + k
-                wsum += windings[ci]
-                picked.append((ci, mult))
-                dfs(ci + 1, budget - mult * L, picked, inc, wsum)
-                picked.pop()
-            wsum -= mult * windings[ci]
-            for v, k in added.items():
-                inc[v] -= k
-                if inc[v] == 0:
-                    del inc[v]
-
-    dfs(0, max_len, [], {}, zero_w)
     return HiggsLoopCoefficients(geom, max_len, coeffs)

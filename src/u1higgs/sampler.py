@@ -15,10 +15,9 @@ densities enter any verification, so the overall constant is conventional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import rng as rngmod
 from .gauge_core import GaugeField, covariant_laplacian, psi
@@ -292,10 +291,10 @@ class _WeightModel:
         return math.log(est.value)
 
 
-def _run_chain(geom, pot, cfg, method, chain_idx, proposal_std, max_len=8):
+def _run_chain(cfg, model, chain_idx, proposal_std):
+    geom = model.geom
     n = geom.n
     sigma_nu2 = 4.0 ** (-geom.N)
-    model = _WeightModel(geom, pot, method, max_len=max_len, n_is=cfg.n_is)
     init_rng = rngmod.stream(cfg.seed, chain_idx, tag="init")
     X = sample_pure_angles(geom, init_rng)
     logw = model.log_weight(X, rngmod.stream(cfg.seed, chain_idx, 0, tag="weight"))
@@ -321,16 +320,16 @@ def _run_chain(geom, pot, cfg, method, chain_idx, proposal_std, max_len=8):
     return kept, accepted / total, stat[cfg.burn_in:]
 
 
-def tune_proposal(geom, pot, cfg, method, max_len=8) -> float:
+def tune_proposal(cfg, model) -> float:
     """Short pre-run doubling/halving the step to land in 30-50% acceptance."""
-    sigma = cfg.proposal_std if cfg.proposal_std else 0.5 * 2.0 ** (-geom.N)
+    sigma = cfg.proposal_std if cfg.proposal_std else 0.5 * 2.0 ** (-model.geom.N)
     if not cfg.tune:
         return sigma
     probe = ChainConfig(samples=60, burn_in=40, thin=1, n_chains=1,
                         seed=rngmod.spawn_seed(cfg.seed, 999), tune=False,
                         n_is=cfg.n_is)
     for _ in range(8):
-        _, acc, _ = _run_chain(geom, pot, probe, method, 0, sigma, max_len)
+        _, acc, _ = _run_chain(probe, model, 0, sigma)
         if acc < 0.30:
             sigma /= 1.5
         elif acc > 0.50:
@@ -342,7 +341,7 @@ def tune_proposal(geom, pot, cfg, method, max_len=8) -> float:
 
 def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
                        cfg: ChainConfig, method: str = "monte-carlo",
-                       max_len: int = 8, threads: int | None = None) -> ChainResult:
+                       max_len: int = 8) -> ChainResult:
     """Metropolis-Hastings chain targeting the interacting plaquette-angle
     measure: Gaussian random-walk proposals, acceptance ratio
     [D(Psi X') / D(Psi X)] times the Gaussian reference ratio.
@@ -350,24 +349,16 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
     With the stochastic weight estimator the chain is pseudo-marginal: a
     fresh unbiased estimate is drawn for every proposal and the current
     state's estimate is recycled on rejection.  `method = "constant"` is
-    the debug mode whose marginal is the pure gauge measure.
+    the debug mode whose marginal is the pure gauge measure.  One weight
+    model serves the tuning pre-run and every chain.
     """
     if method == "monte-carlo" and geom.N > 3:
         raise DomainError("default estimator chain limited to N <= 3")
     if method == "loop-expansion" and geom.N > LOOP_MAX_SCALE:
         raise DomainError("precomputed-coefficient mode limited to N <= 2")
-    sigma = tune_proposal(geom, pot, cfg, method, max_len)
-    if threads and threads > 1 and cfg.n_chains > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chain, geom, pot, cfg, method, c,
-                                   sigma, max_len) for c in range(cfg.n_chains)]
-            results = [f.result() for f in futures]  # chain-index order
-    else:
-        results = [
-            _run_chain(geom, pot, cfg, method, c, sigma, max_len)
-            for c in range(cfg.n_chains)
-        ]
+    model = _WeightModel(geom, pot, method, max_len=max_len, n_is=cfg.n_is)
+    sigma = tune_proposal(cfg, model)
+    results = [_run_chain(cfg, model, c, sigma) for c in range(cfg.n_chains)]
     kept = np.stack([r[0] for r in results])
     acc = np.array([r[1] for r in results])
     iat = float(np.mean([integrated_autocorr_time(r[2]) for r in results]))

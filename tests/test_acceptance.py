@@ -4,8 +4,8 @@ Criterion 10 is implemented exactly as stated and is expected to fail at
 desk scale: with the scale rule m >= 4 and 2^m > (8/pi [g]_alpha)^(2/alpha),
 pure-gauge fields at N <= 5 always take the fallback branch (measured
 [g]_1/2 is about 1.5-3.5, needing m around 9-13), so the measured trend is
-that of the raw axial-gauge field, whose norm grows with N.  See the
-decisions ledger for the full analysis.
+that of the raw axial-gauge field, whose norm grows with N.  See README
+section "Known-red acceptance criterion" for the full analysis.
 """
 
 import itertools
@@ -226,7 +226,8 @@ def test_criterion_8_gauge_fixing_pathwise_suite():
     """100 pure-gauge configurations at N=5, alpha=1/2.
 
     (a) axial bound, exact, at the pipeline scale m=4 (the theorem's minimal
-        scale; the theorem's own m exceeds N for rough fields, see ledger);
+        scale; the theorem's own m exceeds N for rough fields, see README
+        section "Known-red acceptance criterion");
     (b) zero smallness violations whenever the pi/8 hypothesis holds,
         asserted non-vacuously on the same configurations damped into the
         hypothesis region;
@@ -322,8 +323,9 @@ def test_criterion_10_uv_stability_trend():
     Expected to FAIL at desk scale: the theorem's scale rule forces the
     fallback branch for every rough pure-gauge configuration at N <= 5
     (m required is ~9-13), so the measured norms are those of the raw
-    axial-gauge field and grow with N.  Recorded in the decisions ledger;
-    the interacting variant at N=2 runs as informational output.
+    axial-gauge field and grow with N.  Recorded in README section
+    "Known-red acceptance criterion"; the interacting variant at N=2 runs as
+    informational output.
     """
     t0 = time.time()
     r = verify_uv_stability((2, 3, 4, 5), beta=0.5, q=2.0, samples=1000,
@@ -338,7 +340,8 @@ def test_criterion_10_uv_stability_trend():
     ok = r.verdict == "pass" and elapsed < 600.0
     report(10, ok, detail)
     assert elapsed < 600.0
-    assert ok, ("criterion 10 fails as analyzed in the decisions ledger: "
+    assert ok, ("criterion 10 fails as analyzed in README section "
+                "\"Known-red acceptance criterion\": "
                 + detail)
 
 

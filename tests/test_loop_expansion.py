@@ -28,6 +28,7 @@ from u1higgs.loop_expansion import (
     partial_expansion,
     sphere_mass,
 )
+from u1higgs.loop_expansion import _incidence, _multisets
 
 GAUSS = RadialMeasure.gaussian_type()
 
@@ -313,6 +314,47 @@ def test_expansion_ledger_consistency():
     assert res.check_ledger()
 
 
+def _bounded_multisets(lengths, max_total):
+    """All multisets of class indices with total length <= max_total, by
+    itertools, as tuples of (index, multiplicity) in increasing index."""
+    out = []
+    for r in range(max_total + 1):
+        for combo in itertools.combinations_with_replacement(range(len(lengths)), r):
+            if sum(lengths[i] for i in combo) <= max_total:
+                out.append(tuple((i, combo.count(i)) for i in sorted(set(combo))))
+    return out
+
+
+@pytest.mark.parametrize("fieldtag, edges, max_total", [
+    ("C", (("x", "x"), ("x", "y"), ("y", "x")), 5),
+    ("R", (("x", "x"), ("x", "y"), ("y", "y")), 5),
+])
+def test_multiset_engine_matches_itertools(fieldtag, edges, max_total):
+    G = MultiGraph(("x", "y"), edges)
+    classes = enumerate_loop_classes(G, max_total, fieldtag)
+    lengths = [c.length for c in classes]
+    incidences = [_incidence(G, c) for c in classes]
+    seen = []
+    for picked, inc in _multisets(lengths, incidences, max_total):
+        seen.append(tuple(picked))
+        expect_inc = {}
+        for (ci, m) in picked:
+            for v, k in incidences[ci].items():
+                expect_inc[v] = expect_inc.get(v, 0) + m * k
+        assert inc == expect_inc
+    expected = _bounded_multisets(lengths, max_total)
+    assert len(set(expected)) == len(expected) > len(classes)
+    # depth-first pre-order is the lexicographic order of the picks
+    assert seen == sorted(expected)
+    M = OperatorAssignment.scalars(G, [0.1] * len(edges), fieldtag)
+    ledger = expansion_value(G, M, {"x": GAUSS, "y": GAUSS}, max_total).ledger
+    assert [t[0] for t in ledger] == [
+        "|".join(f"{m}x{list(classes[ci].edges)}" for (ci, m) in picks) or "empty"
+        for picks in sorted(expected)]
+    assert [t[1] for t in ledger] == [
+        sum(lengths[ci] * m for (ci, m) in picks) for picks in sorted(expected)]
+
+
 def test_expansion_two_vertex_oracle():
     G = MultiGraph(("x", "y"), (("x", "y"), ("y", "x")))
     M = OperatorAssignment.scalars(G, [0.3, 0.25], "C")
@@ -443,6 +485,20 @@ def test_higgs_coefficients_n2_positivity_and_symmetry():
         vals.append(hc.coeffs.get(w, 0.0))
     assert all(v > 0 for v in vals)
     assert max(vals) == pytest.approx(min(vals), rel=1e-9)
+
+
+def test_higgs_evaluate_matches_chain_weight():
+    from u1higgs.gauge_core import psi
+    from u1higgs.sampler import _WeightModel
+    geom = build_lattice(2)
+    hc = higgs_loop_coefficients(geom, quartic(), 6)
+    model = _WeightModel(geom, quartic(), "loop-expansion", max_len=6)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        X = rng.normal(0.0, 0.5, size=(geom.n, geom.n))
+        chain = float(model._cvec @ np.cos(model._wmat @ X.T.reshape(-1)))
+        assert hc.evaluate(psi(geom, X)) == pytest.approx(chain, rel=1e-12)
+        assert math.exp(model.log_weight(X, None)) == pytest.approx(chain, rel=1e-12)
 
 
 def test_higgs_coefficient_guard():
