@@ -13,6 +13,7 @@ error, 3 numerical or resource error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import secrets
@@ -292,6 +293,11 @@ def cmd_verify(args):
         kwargs["mode"] = args.mode
     if "N_list" in kwargs:
         kwargs["N_list"] = tuple(kwargs["N_list"])
+    accepted = inspect.signature(EXPERIMENTS[args.experiment]).parameters
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ConfigurationError(f"experiment {args.experiment!r} takes no "
+                                 f"parameter {unknown[0]!r}; it takes {list(accepted)}")
     result = EXPERIMENTS[args.experiment](**kwargs)
     out = _ensure_outdir(args)
     _append_csv_ledger(os.path.join(out, "results.csv"), result)

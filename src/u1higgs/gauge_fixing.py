@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gauge_core import GaugeField, GaugeTransform, apply_gauge, log_u1, to_axial, wrap_angle
-from .lattice_geom import DomainError, LatticeGeometry, Rect, build_lattice
+from .lattice_geom import DomainError, Rect, build_lattice
 from .norms import log_oneform, norm_gr, seminorm_rho
 
 TWO_PI = 2.0 * math.pi
@@ -98,33 +98,32 @@ def thin_rect_holonomy_sup(g_m: GaugeField, alpha: float) -> float:
     `log g(dr)` is the principal log of the boundary holonomy (axial-gauge
     lemma constant), not the plaquette log sum.
     """
-    n = g_m.geom.n
-    N = g_m.geom.N
+    n, N = g_m.geom.n, g_m.geom.N
     th, tv = g_m.theta_h, g_m.theta_v
-    ph = np.zeros((n + 1, n + 1))
-    ph[1:, :] = np.cumsum(th, axis=0)    # [k1, row]
-    pv = np.zeros((n + 1, n + 1))
-    pv[:, 1:] = np.cumsum(tv, axis=1)    # [column, k2]
+    ph, pv = _prefix_tables(g_m)
     best = 0.0
     for k in range(1, n + 1):            # long-side length in units
         area_pow = (k * 4.0 ** (-N)) ** (-alpha / 2.0)
-        # horizontal thin rect [x0, x0+k] x [y0, y0+1]
-        for x0 in range(0, n - k + 1):
-            bottom = ph[x0 + k, :-1] - ph[x0, :-1]
-            top = ph[x0 + k, 1:] - ph[x0, 1:]
-            right = tv[x0 + k, :]
-            left = tv[x0, :]
-            val = np.abs(log_u1(bottom + right - top - left)).max()
-            best = max(best, float(val) * area_pow)
-        # vertical thin rect [x0, x0+1] x [y0, y0+k]
-        for y0 in range(0, n - k + 1):
-            left = pv[:-1, y0 + k] - pv[:-1, y0]
-            right = pv[1:, y0 + k] - pv[1:, y0]
-            bottom = th[:, y0]
-            top = th[:, y0 + k]
-            val = np.abs(log_u1(bottom + right - top - left)).max()
-            best = max(best, float(val) * area_pow)
+        # horizontal thin rects [x0, x0+k] x [y0, y0+1], rows indexed by x0
+        dh = ph[k:, :] - ph[:n + 1 - k, :]
+        hol_h = dh[:, :-1] + tv[k:, :] - dh[:, 1:] - tv[:n + 1 - k, :]
+        # vertical thin rects [x0, x0+1] x [y0, y0+k], columns indexed by y0
+        dv = pv[:, k:] - pv[:, :n + 1 - k]
+        hol_v = th[:, :n + 1 - k] + dv[1:, :] - th[:, k:] - dv[:-1, :]
+        for hol in (hol_h, hol_v):
+            best = max(best, float(np.abs(log_u1(hol)).max()) * area_pow)
     return best
+
+
+def _prefix_tables(g: GaugeField):
+    """Prefix sums along the bond direction (ph[k1, k2]: theta_h over columns
+    < k1 in row k2; pv[k1, k2]: theta_v over rows < k2 in column k1)."""
+    n = g.geom.n
+    ph = np.zeros((n + 1, n + 1))
+    ph[1:, :] = np.cumsum(g.theta_h, axis=0)
+    pv = np.zeros((n + 1, n + 1))
+    pv[:, 1:] = np.cumsum(g.theta_v, axis=1)
+    return ph, pv
 
 
 @dataclass
@@ -138,6 +137,12 @@ class LandauDiagnostics:
         return sum(self.violations_per_scale.values())
 
 
+# sublattice offsets from a cell centre: the boundary ring y_1, corner, y_2,
+# ..., corner, y_1, and the lower-left corners of the plaquettes p_1..p_4
+_RING = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0)]
+_CELLS = [(0, 0), (-1, 0), (-1, -1), (0, -1)]
+
+
 def landau_extend(g: GaugeField, u_m: GaugeTransform, m: int
                   ) -> tuple[GaugeTransform, LandauDiagnostics]:
     """Extend a scale-m transform to the full lattice, scale by scale.
@@ -146,128 +151,82 @@ def landau_extend(g: GaugeField, u_m: GaugeTransform, m: int
     log evenly; cell centres solve the four-plaquette system with the
     zero-sum alpha formula when the cell is small (sum of beta_i vanishes
     exactly rather than just mod 2 pi), else u(x) = 1 and a violation is
-    recorded.  The alpha identities hold exactly: they are evaluated in
-    rational arithmetic on the float inputs.
+    recorded.  Each scale is a few whole-array float steps: all midpoints
+    at once, then all centres at once, with u(x) from
+    alpha_1 = 3/8 (beta_1 - beta_4) + 1/8 (beta_2 - beta_3), in which the
+    mean of the beta_i cancels.  `landau_alpha_formula` is the exact
+    (rational) oracle for this solve.
     """
     N = g.geom.N
     if not (1 <= m <= N):
         raise DomainError("scale m out of range")
     if u_m.geom.N != m:
         raise DomainError("transform scale does not match m")
-    n_fine = g.geom.n
-    u = np.full((n_fine + 1, n_fine + 1), np.nan)
+    u = np.full((g.geom.n + 1, g.geom.n + 1), np.nan)
     sm = 1 << (N - m)
     u[::sm, ::sm] = u_m.angles
     diag = LandauDiagnostics()
-
-    # fine-angle prefix sums for straight-path coarse bond values
-    ph = np.zeros((n_fine + 1, n_fine + 1))
-    ph[1:, :] = np.cumsum(g.theta_h, axis=0)   # [k1, k2]: sum over columns < k1
-    pv = np.zeros((n_fine + 1, n_fine + 1))
-    pv[:, 1:] = np.cumsum(g.theta_v, axis=1)   # [k1, k2]: sum over rows < k2
-
-    def seg_h(x0, x1, y):
-        return ph[x1, y] - ph[x0, y]
-
-    def seg_v(x, y0, y1):
-        return pv[x, y1] - pv[x, y0]
-
+    ph, pv = _prefix_tables(g)
     for scale in range(m + 1, N + 1):
         s = 1 << (N - scale)
-        coarse = 2 * s
         nc = 1 << (scale - 1)  # coarse cells per side
-        # --- midpoints of horizontal coarse bonds
-        for j in range(nc + 1):
-            y = j * coarse
-            for i in range(nc):
-                a, b, x = i * coarse, (i + 1) * coarse, i * coarse + s
-                t_ax = seg_h(a, x, y)
-                t_xb = seg_h(x, b, y)
-                L = wrap_angle(u[a, y] + (t_ax + t_xb) - u[b, y])
-                u[x, y] = wrap_angle(u[a, y] + t_ax - 0.5 * L)
-        # --- midpoints of vertical coarse bonds
-        for i in range(nc + 1):
-            x = i * coarse
-            for j in range(nc):
-                a, b, ymid = j * coarse, (j + 1) * coarse, j * coarse + s
-                t_ax = seg_v(x, a, ymid)
-                t_xb = seg_v(x, ymid, b)
-                L = wrap_angle(u[x, a] + (t_ax + t_xb) - u[x, b])
-                u[x, ymid] = wrap_angle(u[x, a] + t_ax - 0.5 * L)
-        # --- cell centres
-        for i in range(nc):
-            for j in range(nc):
-                cx, cy = i * coarse + s, j * coarse + s
-                _assign_centre(u, g, ph, pv, cx, cy, s, scale, diag)
+        # midpoints of horizontal, then (transposed views) vertical coarse bonds
+        _split_midpoints(ph, u, s)
+        _split_midpoints(pv.T, u.T, s)
+        # scale-`scale` sublattice: node angles, bond values, plaquette logs
+        U = u[::s, ::s]
+        H = ph[s::s, ::s] - ph[:-s:s, ::s]
+        V = pv[::s, s::s] - pv[::s, :-s:s]
+        P = log_u1(H[:, :-1] + V[1:, :] - H[:, 1:] - V[:-1, :])
+
+        def at(A, dx, dy):
+            # A at offset (dx, dy) from every cell centre (odd sublattice site)
+            return A[1 + dx:2 * nc + dx:2, 1 + dy:2 * nc + dy:2]
+
+        # g^u logs of the 8 boundary bonds, counterclockwise from y_1 = x + e_1
+        b = []
+        for (x0, y0), (x1, y1) in zip(_RING, _RING[1:]):
+            if y0 == y1:
+                t = at(H, min(x0, x1), y0) * (x1 - x0)
+            else:
+                t = at(V, x0, min(y0, y1)) * (y1 - y0)
+            b.append(log_u1(at(U, x0, y0) + t - at(U, x1, y1)))
+        beta = [at(P, dx, dy) - b[2 * i] - b[2 * i + 1]
+                for i, (dx, dy) in enumerate(_CELLS)]
+        total = beta[0] + beta[1] + beta[2] + beta[3]
+        k = np.rint(total / TWO_PI)
+        residual = np.abs(total - k * TWO_PI)
+        diag.max_smallness_residual = max(diag.max_smallness_residual,
+                                          float(residual.max()))
+        bad = np.argwhere(residual > SMALLNESS_TOL)
+        if len(bad):
+            i, j = bad[0]
+            raise DomainError(
+                f"sum of beta_i = {float(total[i, j])} not a multiple of 2 pi "
+                f"at ({(2 * i + 1) * s},{(2 * j + 1) * s})")
+        violated = k != 0
+        if violated.any():
+            diag.violations_per_scale[scale] = int(violated.sum())
+        # u(x) from alpha_1 via g^u_{x y_1} = e^{i alpha_1}
+        alpha1 = 0.375 * (beta[0] - beta[3]) + 0.125 * (beta[1] - beta[2])
+        U[1::2, 1::2] = np.where(
+            violated, 0.0, wrap_angle(alpha1 - at(H, 0, 0) + at(U, 1, 0)))
         diag.cells_per_scale[scale] = nc * nc
-    if np.isnan(u[0, 0]) or np.isnan(u).any():
+    if np.isnan(u).any():
         raise DomainError("landau extension left unassigned nodes")
     return GaugeTransform(g.geom, wrap_angle(u)), diag
 
 
-def _assign_centre(u, g, ph, pv, cx, cy, s, scale, diag):
-    """Solve the four-plaquette system at centre (cx, cy) (fine units)."""
-
-    def seg_h(x0, x1, y):
-        return ph[x1, y] - ph[x0, y]
-
-    def seg_v(x, y0, y1):
-        return pv[x, y1] - pv[x, y0]
-
-    def plaq_log(x0, y0):
-        # scale-`scale` plaquette holonomy, lower-left (x0, y0), side s
-        raw = (seg_h(x0, x0 + s, y0) + seg_v(x0 + s, y0, y0 + s)
-               - seg_h(x0, x0 + s, y0 + s) - seg_v(x0, y0, y0 + s))
-        return float(log_u1(raw))
-
-    def bond_log_u(x0, y0, x1, y1):
-        # log (g^u) of the oriented scale-n bond (x0,y0)->(x1,y1)
-        if y0 == y1:
-            t = seg_h(min(x0, x1), max(x0, x1), y0)
-            t = t if x1 > x0 else -t
-        else:
-            t = seg_v(x0, min(y0, y1), max(y0, y1))
-            t = t if y1 > y0 else -t
-        return float(log_u1(u[x0, y0] + t - u[x1, y1]))
-
-    p_logs = [plaq_log(cx, cy), plaq_log(cx - s, cy),
-              plaq_log(cx - s, cy - s), plaq_log(cx, cy - s)]
-    b = [
-        bond_log_u(cx + s, cy, cx + s, cy + s),      # b1: y1 -> top-right
-        bond_log_u(cx + s, cy + s, cx, cy + s),      # b2: top-right -> y2
-        bond_log_u(cx, cy + s, cx - s, cy + s),      # b3: y2 -> top-left
-        bond_log_u(cx - s, cy + s, cx - s, cy),      # b4: top-left -> y3
-        bond_log_u(cx - s, cy, cx - s, cy - s),      # b5: y3 -> bottom-left
-        bond_log_u(cx - s, cy - s, cx, cy - s),      # b6: bottom-left -> y4
-        bond_log_u(cx, cy - s, cx + s, cy - s),      # b7: y4 -> bottom-right
-        bond_log_u(cx + s, cy - s, cx + s, cy),      # b8: bottom-right -> y1
-    ]
-    beta = [p_logs[i] - b[2 * i] - b[2 * i + 1] for i in range(4)]
-    total = sum(beta)
-    k = round(total / TWO_PI)
-    residual = abs(total - k * TWO_PI)
-    diag.max_smallness_residual = max(diag.max_smallness_residual, residual)
-    if residual > SMALLNESS_TOL:
-        raise DomainError(
-            f"sum of beta_i = {total} not a multiple of 2 pi at ({cx},{cy})")
-    if k != 0:
-        diag.violations_per_scale[scale] = diag.violations_per_scale.get(scale, 0) + 1
-        u[cx, cy] = 0.0
-        return
-    # exact rational solve: subtract the rounding residual so the zero-sum
-    # condition holds identically, then apply the 3/8-1/8 formula
-    fb = [Fraction(x) for x in beta]
-    mean = sum(fb) / 4
-    fb = [x - mean for x in fb]
-    alpha = [Fraction(3, 8) * (fb[i] - fb[i - 1])
-             + Fraction(1, 8) * (fb[(i + 1) % 4] - fb[(i + 2) % 4])
-             for i in range(4)]
-    assert sum(alpha) == 0
-    for i in range(4):
-        assert alpha[i] - alpha[(i + 1) % 4] == fb[i]
-    # u(x) from alpha_1 via g^u_{x y_1} = e^{i alpha_1}
-    t_xy1 = ph[cx + s, cy] - ph[cx, cy]
-    u[cx, cy] = wrap_angle(float(alpha[0]) - t_xy1 + u[cx + s, cy])
+def _split_midpoints(p, u, s):
+    """Assign the midpoints of all coarse bonds (length 2s) along axis 0,
+    given the prefix table `p` along that axis; transposed views of `p` and
+    `u` do the bonds along axis 1."""
+    c = 2 * s
+    ua, ub = u[:-c:c, ::c], u[c::c, ::c]
+    t_ax = p[s::c, ::c] - p[:-c:c, ::c]
+    t_xb = p[c::c, ::c] - p[s::c, ::c]
+    L = wrap_angle(ua + (t_ax + t_xb) - ub)
+    u[s::c, ::c] = wrap_angle(ua + t_ax - 0.5 * L)
 
 
 def landau_alpha_formula(beta):

@@ -22,7 +22,6 @@ from . import rng as rngmod
 from .gauge_core import LatticeLoop, omega, psi, winding_vector, wrap_angle
 from .gauge_fixing import flatness, gauge_fix
 from .lattice_geom import DomainError, Rect, build_lattice
-from .norms import log_oneform, norm_gr, seminorm_rho
 from .sampler import ChainConfig, PotentialSpec, sample_interacting, sample_pure_angles
 
 N_BATCHES = 32
@@ -306,7 +305,7 @@ def verify_decorrelation(sigmaA: float, sigmaB: float, sigmaAB: float,
          "E_exp_etaA2": e_eta, "E_cosB": e_cos})
 
 
-def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 3,
+def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 5,
                             samples: int = 200, seed: int = 0,
                             mode: str = "pure",
                             pot: PotentialSpec = PotentialSpec(),

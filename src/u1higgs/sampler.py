@@ -24,6 +24,7 @@ from .gauge_core import GaugeField, covariant_laplacian, psi
 from .lattice_geom import DomainError, LatticeGeometry
 from .loop_expansion import (
     HiggsLoopCoefficients,
+    NumericalError,
     c_coeff,
     higgs_loop_coefficients,
     higgs_site_measure,
@@ -180,6 +181,10 @@ def higgs_weight_mc(g: GaugeField, pot: PotentialSpec,
     value = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(n_samples))
     ess = float(w.sum() ** 2 / (w ** 2).sum())
+    if not (math.isfinite(value) and math.isfinite(stderr) and math.isfinite(ess)):
+        raise NumericalError(
+            f"importance weights overflow at N={g.geom.N}: value {value:.3g}, "
+            f"stderr {stderr:.3g}, ESS {ess:.3g} of {n_samples}")
     warnings = ()
     if ess < ESS_WARN_FRACTION * n_samples:
         warnings = (f"low effective sample size: {ess:.1f} of {n_samples}",)

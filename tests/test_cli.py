@@ -130,3 +130,23 @@ def test_verify_deterministic_outputs(tmp_path):
     assert read(os.path.join(d1, "report_mgf.json")) == \
         read(os.path.join(d2, "report_mgf.json"))
     assert read(os.path.join(d1, "results.csv")) == read(os.path.join(d2, "results.csv"))
+
+
+def test_verify_flag_not_taken_is_usage_error(tmp_path, capsys):
+    # flatness-moments takes N_list, not N: a usage error naming the key
+    out = str(tmp_path / "o")
+    assert run(["verify", "flatness-moments", "--N", "2", "--out", out]) == 2
+    assert "'N'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as f:
+        json.dump({"N_list": [2], "bogus": 1}, f)
+    assert run(["verify", "flatness-moments", "--config", cpath, "--out", out]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def test_verify_flatness_moments_defaults(tmp_path):
+    out = str(tmp_path)
+    assert run(["verify", "flatness-moments", "--samples", "5", "--out", out]) == 0
+    rep = json.loads(read(os.path.join(out, "report_flatness-moments.json")))
+    assert rep["verdict"] == "informational"

@@ -8,7 +8,10 @@ from u1higgs.gauge_core import (
     GaugeField,
     GaugeTransform,
     apply_gauge,
+    holonomy,
+    log_u1,
     psi,
+    rect_boundary_loop,
     to_axial,
     wrap_angle,
 )
@@ -164,12 +167,31 @@ def test_nontree_bond_equals_thin_rect_holonomy():
     g = GaugeField.random(build_lattice(m), rng)
     u = axial_fix(g)
     fixed = apply_gauge(g, u)
-    from u1higgs.gauge_core import holonomy, rect_boundary_loop
     for k1 in (1, 3, 5):
         for k2 in (0, 4):
             r = Rect(0, k2, k1, 1, m)
             hol = holonomy(g, rect_boundary_loop(g.geom, r))
             assert np.exp(1j * fixed.theta_v[k1, k2]) == pytest.approx(hol, abs=1e-12)
+
+
+def test_thin_rect_sup_matches_bruteforce():
+    # sup over every m-thin rectangle of |r|^(-alpha/2) |log hol(dr)|, each
+    # holonomy taken along the rectangle's boundary loop
+    rng = np.random.default_rng(19)
+    for m in (2, 3):
+        geom = build_lattice(m)
+        n = geom.n
+        for g in (GaugeField.random(geom, rng), pure_gauge_field(m, rng)):
+            rects = [Rect(x0, y0, k, 1, m) for k in range(1, n + 1)
+                     for x0 in range(n - k + 1) for y0 in range(n)]
+            rects += [Rect(x0, y0, 1, k, m) for k in range(1, n + 1)
+                      for y0 in range(n - k + 1) for x0 in range(n)]
+            logs = [abs(np.angle(holonomy(g, rect_boundary_loop(geom, r))))
+                    for r in rects]
+            for alpha in (0.5, 1.0):
+                brute = max(v * float(r.area) ** (-alpha / 2)
+                            for v, r in zip(logs, rects))
+                assert thin_rect_holonomy_sup(g, alpha) == pytest.approx(brute, rel=1e-12)
 
 
 # ---------------------------------------------------------------- Landau extension
@@ -212,6 +234,73 @@ def test_landau_midpoint_rule():
     half1 = A.h[0, 0]
     half2 = A.h[1, 0]
     assert half1 == pytest.approx(half2, abs=1e-12)
+
+
+def _landau_oracle_violations(g, u, m):
+    """Re-solve every centre of the extension from the returned transform,
+    one at a time, with the exact formula; return violations per scale."""
+    N, a = g.geom.N, u.angles.tolist()
+    rows, cols = g.theta_h.T.tolist(), g.theta_v.tolist()
+
+    def seg(x0, y0, x1, y1):
+        # g along the straight scale-n bond (x0,y0)->(x1,y1), fine units
+        if y0 == y1:
+            t = sum(rows[y0][min(x0, x1):max(x0, x1)])
+            return t if x1 > x0 else -t
+        t = sum(cols[x0][min(y0, y1):max(y0, y1)])
+        return t if y1 > y0 else -t
+
+    violations = {}
+    for scale in range(m + 1, N + 1):
+        s = 1 << (N - scale)
+        for cx in range(s, g.geom.n, 2 * s):
+            for cy in range(s, g.geom.n, 2 * s):
+                ring = [(cx + s * dx, cy + s * dy) for dx, dy in
+                        ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1),
+                         (0, -1), (1, -1), (1, 0))]
+                b = [log_u1(a[x][y] + seg(x, y, *q) - a[q[0]][q[1]])
+                     for (x, y), q in zip(ring, ring[1:])]
+                p = [log_u1(seg(x, y, x + s, y) + seg(x + s, y, x + s, y + s)
+                            + seg(x + s, y + s, x, y + s) + seg(x, y + s, x, y))
+                     for x, y in ((cx, cy), (cx - s, cy), (cx - s, cy - s), (cx, cy - s))]
+                beta = [Fraction(p[i] - b[2 * i] - b[2 * i + 1]) for i in range(4)]
+                mean = sum(beta) / 4
+                k = round(float(4 * mean) / (2 * math.pi))
+                if k != 0:
+                    violations[scale] = violations.get(scale, 0) + 1
+                    assert a[cx][cy] == 0.0
+                    continue
+                alpha = landau_alpha_formula([x - mean for x in beta])
+                expect = float(alpha[0]) - seg(cx, cy, cx + s, cy) + a[cx + s][cy]
+                assert abs(wrap_angle(expect - a[cx][cy])) <= 1e-12
+    return violations
+
+
+def test_landau_matches_exact_oracle():
+    # golden-corpus fields at their pipeline scale, plus forced coarse scales
+    # on raw and uniformly random fields (the latter with violations)
+    import json
+    import os
+    from u1higgs.rng import stream
+    from u1higgs.sampler import sample_pure_angles
+    path = os.path.join(os.path.dirname(__file__), "data", "gauge_fix_golden.json")
+    golden = json.load(open(path))
+    geom = build_lattice(golden["N"])
+    gen = stream(golden["seed"], tag="")
+    cases = []
+    for _ in range(golden["corpus_size"]):
+        g = psi(geom, golden["damp"] * sample_pure_angles(geom, gen))
+        cases.append((g, gauge_fix(g, golden["alpha"], betas=())[1].used_m))
+    rng = np.random.default_rng(20)
+    for N in (4, 5):
+        for g in (pure_gauge_field(N, rng), GaugeField.random(build_lattice(N), rng)):
+            cases += [(g, 1), (g, 2)]
+    n_violations = 0
+    for g, m in cases:
+        u, diag = landau_extend(g, axial_fix(coarse_restrict(g, m)), m)
+        assert _landau_oracle_violations(g, u, m) == diag.violations_per_scale
+        n_violations += diag.violations
+    assert n_violations > 0
 
 
 def test_landau_smallness_zero_violations_smooth():

@@ -15,6 +15,7 @@ from u1higgs.gauge_core import (
     winding_vector,
 )
 from u1higgs.lattice_geom import DomainError, Rect, build_lattice
+from u1higgs.loop_expansion import NumericalError
 from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
     ChainConfig,
@@ -169,6 +170,15 @@ def test_mc_weight_gauge_invariance():
     a = higgs_weight_mc(g, QUARTIC, stream(11), n_samples=20000)
     b = higgs_weight_mc(apply_gauge(g, u), QUARTIC, stream(12), n_samples=20000)
     assert abs(a.value - b.value) < 4 * math.hypot(a.stderr, b.stderr)
+
+
+def test_mc_weight_overflow_raises():
+    # a deep double well (c=80) overflows the importance weights at N=2:
+    # no inf stderr or nan ESS next to a finite-looking value
+    geom = build_lattice(2)
+    g = psi(geom, sample_pure_angles(geom, stream(3)))
+    with pytest.raises(NumericalError, match="overflow"):
+        higgs_weight_mc(g, PotentialSpec(c=80.0), stream(4), n_samples=256)
 
 
 def test_mc_vs_loop_expansion_n2():
