@@ -8,6 +8,7 @@ vertical bonds (k1,k2)->(k1,k2+1) in `theta_v[k1, k2]` (shape (n+1, n)).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -250,6 +251,51 @@ def omega(loop: LatticeLoop) -> float:
     return float(omega_exact(loop))
 
 
+@functools.lru_cache(maxsize=16)
+def _stencil_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the interior covariant Laplacian at side n.
+
+    Interior node (k1,k2), 1 <= k1,k2 <= n-1, is row (k2-1)*(n-1) + (k1-1)
+    of an (M, M) matrix, M = (n-1)^2.  Returns the flat positions of the
+    diagonal, the flat positions (x, y) and (y, x) of every interior bond
+    x->y, and that bond's position in the concatenated raveled
+    (theta_h, theta_v) angles.  Built once per side; read-only.
+    """
+    m = n - 1
+    M = m * m
+    node = lambda k1, k2: (k2 - 1) * m + (k1 - 1)
+    k1, k2 = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+    h1, h2 = k1[:-1, :].ravel(), k2[:-1, :].ravel()     # (k1,k2)->(k1+1,k2)
+    v1, v2 = k1[:, :-1].ravel(), k2[:, :-1].ravel()     # (k1,k2)->(k1,k2+1)
+    x = np.concatenate([node(h1, h2), node(v1, v2)])
+    y = np.concatenate([node(h1 + 1, h2), node(v1, v2 + 1)])
+    bond = np.concatenate([h1 * (n + 1) + h2, n * (n + 1) + v1 * n + v2])
+    tables = (np.arange(M) * (M + 1), x * M + y, y * M + x, bond)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _covariant_stencil(N: int, theta_h: np.ndarray, theta_v: np.ndarray,
+                       diag: float, hop: float) -> np.ndarray:
+    """diag * I + hop * (g_xy on interior bonds x->y, conj(g_xy) on y->x)
+    on interior nodes, for a batch of B fields with bond angles theta_h
+    (B, n, n+1) and theta_v (B, n+1, n); shape (B, M, M)."""
+    n = 1 << N
+    if n == 1:
+        raise DomainError("no interior nodes at N=0")
+    dpos, fwd, bwd, bond = _stencil_tables(n)
+    B = theta_h.shape[0]
+    M = (n - 1) ** 2
+    angles = np.concatenate([theta_h.reshape(B, -1), theta_v.reshape(B, -1)], axis=1)
+    phase = np.exp(1j * angles[:, bond])
+    out = np.zeros((B, M * M), dtype=complex)
+    out[:, dpos] = diag
+    out[:, fwd] = hop * phase
+    out[:, bwd] = hop * phase.conj()
+    return out.reshape(B, M, M)
+
+
 def covariant_laplacian(g: GaugeField) -> np.ndarray:
     """Matrix of the covariant Laplacian on interior nodes.
 
@@ -257,26 +303,17 @@ def covariant_laplacian(g: GaugeField) -> np.ndarray:
     Entries: diagonal -4 * 2^(2N); off-diagonal 2^(2N) * g_xy for interior
     neighbours y of x.  Hermitian, negative semi-definite.
     """
-    n = g.geom.n
-    m = n - 1
-    if m == 0:
-        raise DomainError("no interior nodes at N=0")
     scale = float(4 ** g.geom.N)
-    H = np.zeros((m * m, m * m), dtype=complex)
-    idx = lambda k1, k2: (k2 - 1) * m + (k1 - 1)
-    for k2 in range(1, n):
-        for k1 in range(1, n):
-            i = idx(k1, k2)
-            H[i, i] = -4.0 * scale
-            if k1 + 1 < n:
-                H[i, idx(k1 + 1, k2)] = scale * np.exp(1j * g.theta_h[k1, k2])
-            if k1 - 1 > 0:
-                H[i, idx(k1 - 1, k2)] = scale * np.exp(-1j * g.theta_h[k1 - 1, k2])
-            if k2 + 1 < n:
-                H[i, idx(k1, k2 + 1)] = scale * np.exp(1j * g.theta_v[k1, k2])
-            if k2 - 1 > 0:
-                H[i, idx(k1, k2 - 1)] = scale * np.exp(-1j * g.theta_v[k1, k2 - 1])
-    return H
+    return _covariant_stencil(g.geom.N, g.theta_h[None], g.theta_v[None],
+                              -4.0 * scale, scale)[0]
+
+
+def covariant_precision(N: int, theta_h: np.ndarray, theta_v: np.ndarray) -> np.ndarray:
+    """I - 2^-2N Lap_g (Hermitian, eigenvalues >= 1) for a batch of fields
+    with bond angles theta_h (B, n, n+1) and theta_v (B, n+1, n): diagonal 5,
+    off-diagonal -g_xy; shape (B, M, M).  Entry for entry the same floats as
+    I - 2^-2N * covariant_laplacian(g)."""
+    return _covariant_stencil(N, theta_h, theta_v, 5.0, -1.0)
 
 
 def covariant_derivative(g: GaugeField, phi: np.ndarray) -> dict[Bond, complex]:
@@ -306,6 +343,16 @@ def interior_to_grid(geom: LatticeGeometry, vec: np.ndarray) -> np.ndarray:
     return grid
 
 
+def axial_angles(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bond angles (theta_h, theta_v) of the axial-gauge fields with
+    plaquette angles X, for a batch X of shape (..., n, n); see `psi`."""
+    X = np.asarray(X, dtype=float)
+    *batch, n, _ = X.shape
+    tv = np.zeros((*batch, n + 1, n))
+    tv[..., 1:, :] = np.cumsum(X, axis=-2)
+    return np.zeros((*batch, n, n + 1)), wrap_angle(tv)
+
+
 def psi(geom: LatticeGeometry, X: np.ndarray) -> GaugeField:
     """Axial-gauge field with plaquette holonomies e^{i X_p}.
 
@@ -318,9 +365,7 @@ def psi(geom: LatticeGeometry, X: np.ndarray) -> GaugeField:
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
         raise DomainError("plaquette angle array shape mismatch")
-    tv = np.zeros((n + 1, n))
-    tv[1:, :] = np.cumsum(X, axis=0)
-    return GaugeField(geom, np.zeros((n, n + 1)), wrap_angle(tv))
+    return GaugeField(geom, *axial_angles(X))
 
 
 def to_axial(g: GaugeField) -> tuple[GaugeTransform, GaugeField]:

@@ -1,10 +1,12 @@
 """Counter-based random number streams.
 
 Streams are Philox generators keyed by (master seed, stream indices); the
-key derivation is a fixed odd-multiplier mix, so any (chain, step, tag)
-triple yields the same stream on every run and across workers.  Chains
-never share a stream; per-step substreams make pseudo-marginal inner
-estimates reproducible regardless of execution order.
+key derivation is a fixed odd-multiplier mix, so any (indices, tag) address
+yields the same stream on every run and across workers.  Chains never share
+a stream: each chain draws its start from its own (chain, tag "init")
+stream and its steps from one stream per (chain, block of steps, tag
+"block"), so its pseudo-marginal inner estimates are reproducible whatever
+the number of chains stepped beside it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import numpy as np
 _MIX = 0x9E3779B97F4A7C15  # golden-ratio odd multiplier
 _MASK = (1 << 64) - 1
 
-_TAGS = {"": 0, "tune": 1, "proposal": 2, "weight": 3, "init": 4, "accept": 5}
+# Tag codes are part of every stream address: never renumber one.  A tag not
+# listed here is keyed by a mix of its characters.
+_TAGS = {"": 0, "init": 4, "block": 6}
 
 
 def _mix(*values: int) -> int:

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import rng as rngmod
-from .gauge_core import GaugeField, covariant_laplacian, psi
+from .gauge_core import GaugeField, axial_angles, covariant_precision, psi
 from .lattice_geom import DomainError, LatticeGeometry
 from .loop_expansion import (
     HiggsLoopCoefficients,
@@ -140,14 +141,38 @@ class WeightEstimate:
 MC_MAX_SCALE = 6
 LOOP_MAX_SCALE = 2
 ESS_WARN_FRACTION = 0.1
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def _interior_precision(g: GaugeField) -> tuple[np.ndarray, int]:
-    """P = I - 2^-2N Lap_g (positive definite Hermitian) and the interior size."""
-    H = covariant_laplacian(g)
-    m = H.shape[0]
-    A = -(4.0 ** (-g.geom.N)) * H
-    return np.eye(m) + A, m
+def _complex_normals(gens, count: int, m: int) -> np.ndarray:
+    """(B, count, m) standard complex normals, row b drawn from gens[b]:
+    `count * m` real parts, then as many imaginary parts."""
+    z = np.empty((len(gens), count, m), dtype=complex)
+    for zb, g in zip(z, gens):
+        zb.real, zb.imag = g.standard_normal((2, count, m)) * math.sqrt(0.5)
+    return z
+
+
+def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec) -> np.ndarray:
+    """Importance-sampling log-weights, shape (B, n_is), for a batch of
+    precisions P (B, m, m) and standard complex normals z (B, n_is, m).
+
+    Sample phi = L^-H z ~ CN(0, P^-1) with P = L L^H; its log-weight is
+    log D-density minus log proposal density,
+    m log(2 pi) - log det P + sum_x (|phi_x|^2 - V(|phi_x|)).
+    """
+    L = np.linalg.cholesky(P)
+    m = P.shape[-1]
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
+    r = np.empty(z.shape)
+    for b in range(len(L)):
+        phi, info = lapack.ztrtrs(L[b], z[b].T, lower=1, trans=2)
+        if info:
+            raise NumericalError(f"triangular solve failed (info {info})")
+        r[b] = np.abs(phi.T)
+    r2 = r * r
+    V = r2 * r2 - pot.c * r2 if pot.kind == "quartic" else np.vectorize(pot.evaluate)(r)
+    return m * math.log(TWO_PI) - logdet[:, None] + (r2 - V).sum(axis=-1)
 
 
 def higgs_weight_quadrature(g: GaugeField, pot: PotentialSpec) -> WeightEstimate:
@@ -163,28 +188,27 @@ def higgs_weight_mc(g: GaugeField, pot: PotentialSpec,
                     rng: np.random.Generator, n_samples: int = 4096
                     ) -> WeightEstimate:
     """Importance sampling from the complex Gaussian with precision
-    I - 2^-2N Lap_g, which dominates the quadratic part of the target."""
+    I - 2^-2N Lap_g, which dominates the quadratic part of the target.
+
+    Value, stderr and ESS come from the log-weights shifted by their
+    maximum; the weights w themselves are never formed.  Raises
+    `NumericalError` when the squares w^2 would leave the float range."""
     if g.geom.N > MC_MAX_SCALE:
         raise DomainError(f"MC estimator limited to N <= {MC_MAX_SCALE}")
-    P, m = _interior_precision(g)
-    L = np.linalg.cholesky(P)
-    logdet = 2.0 * float(np.log(np.diag(L).real).sum())
-    z = (rng.normal(size=(n_samples, m)) + 1j * rng.normal(size=(n_samples, m))) \
-        / math.sqrt(2.0)
-    phi = np.linalg.solve(L.conj().T, z.T).T  # rows ~ CN(0, P^-1)
-    r = np.abs(phi)
-    V = r ** 4 - pot.c * r ** 2 if pot.kind == "quartic" else \
-        np.vectorize(pot.evaluate)(r)
-    log_w = (m * math.log(TWO_PI) - logdet
-             + (r ** 2 - V).sum(axis=1))
-    w = np.exp(log_w)
-    value = float(w.mean())
-    stderr = float(w.std(ddof=1) / math.sqrt(n_samples))
-    ess = float(w.sum() ** 2 / (w ** 2).sum())
-    if not (math.isfinite(value) and math.isfinite(stderr) and math.isfinite(ess)):
+    if n_samples < 2:
+        raise DomainError("MC estimator needs at least 2 importance samples")
+    P = covariant_precision(g.geom.N, g.theta_h[None], g.theta_v[None])
+    log_w = _mc_log_weights(P, _complex_normals([rng], n_samples, P.shape[-1]), pot)[0]
+    top = float(log_w.max())
+    s = np.exp(log_w - top)
+    ess = float(s.sum() ** 2 / (s ** 2).sum())
+    if not 2.0 * top < _LOG_FLOAT_MAX:
         raise NumericalError(
-            f"importance weights overflow at N={g.geom.N}: value {value:.3g}, "
-            f"stderr {stderr:.3g}, ESS {ess:.3g} of {n_samples}")
+            f"importance weights overflow at N={g.geom.N}: max log-weight {top:.4g}, "
+            f"log D-hat {top + math.log(s.mean()):.4g}, ESS {ess:.3g} of {n_samples}")
+    scale = math.exp(top)
+    value = scale * float(s.mean())
+    stderr = scale * float(s.std(ddof=1)) / math.sqrt(n_samples)
     warnings = ()
     if ess < ESS_WARN_FRACTION * n_samples:
         warnings = (f"low effective sample size: {ess:.1f} of {n_samples}",)
@@ -273,56 +297,79 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
 
 
 class _WeightModel:
-    """Per-proposal weight evaluation for the Metropolis chain."""
+    """log D-hat of a batch of plaquette-angle arrays for the Metropolis chain."""
 
     def __init__(self, geom, pot, method, max_len=8, n_is=64):
         self.geom, self.pot, self.method, self.n_is = geom, pot, method, n_is
-        self.stochastic = method == "monte-carlo"
         if method == "loop-expansion":
             self._coeffs = higgs_loop_coefficients(geom, pot, max_len)
             self._wmat, self._cvec = self._coeffs.weight_matrix()
         elif method == "quadrature" and geom.N != 1:
             raise DomainError("quadrature weight model requires N = 1")
 
-    def log_weight(self, X: np.ndarray, rng: np.random.Generator | None) -> float:
-        if self.method == "constant":
-            return 0.0
-        if self.method == "quadrature":
-            return 0.0  # independent of g at N = 1: cancels in ratios
+    def log_weight(self, X: np.ndarray, gens) -> np.ndarray:
+        """log D-hat for X of shape (..., n, n).  Monte Carlo takes a batch
+        (B, n, n) and draws the importance normals of row b from gens[b];
+        the other methods are deterministic and ignore `gens`."""
+        if self.method in ("constant", "quadrature"):
+            return np.zeros(X.shape[:-2])  # quadrature: independent of g at N = 1
         if self.method == "loop-expansion":
-            vals = self._wmat @ X.T.reshape(-1)
-            return math.log(float(self._cvec @ np.cos(vals)))
-        est = higgs_weight_mc(psi(self.geom, X), self.pot, rng, self.n_is)
-        return math.log(est.value)
+            flat = X.swapaxes(-1, -2).reshape(*X.shape[:-2], -1)
+            vals = np.cos(flat @ self._wmat.T) @ self._cvec
+            if np.any(vals <= 0.0):
+                raise NumericalError("truncated loop expansion of the Higgs weight "
+                                     "is not positive")
+            return np.log(vals)
+        P = covariant_precision(self.geom.N, *axial_angles(X))
+        log_w = _mc_log_weights(P, _complex_normals(gens, self.n_is, P.shape[-1]), self.pot)
+        top = log_w.max(axis=1)
+        return top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
 
 
-def _run_chain(cfg, model, chain_idx, proposal_std):
+BLOCK_STEPS = 64  # chain steps drawn from one Philox stream per chain
+
+
+def _run_chains(cfg, model, proposal_std):
+    """Step the cfg.n_chains chains as one (B, n, n) batch.
+
+    Chain c starts from a pure-gauge draw of stream (seed, c, tag "init"),
+    which also supplies its first weight estimate.  Its steps come in
+    blocks of BLOCK_STEPS, each from one stream (seed, c, block, tag
+    "block"): the block's proposal increments and acceptance uniforms are
+    drawn up front, then the importance normals step by step.  A chain's
+    draws therefore do not depend on how many chains share the batch.
+    """
     geom = model.geom
-    n = geom.n
+    n, B, K = geom.n, cfg.n_chains, BLOCK_STEPS
     sigma_nu2 = 4.0 ** (-geom.N)
-    init_rng = rngmod.stream(cfg.seed, chain_idx, tag="init")
-    X = sample_pure_angles(geom, init_rng)
-    logw = model.log_weight(X, rngmod.stream(cfg.seed, chain_idx, 0, tag="weight"))
-    kept = np.empty((cfg.samples, n, n))
-    accepted = 0
+    gens = [rngmod.stream(cfg.seed, c, tag="init") for c in range(B)]
+    X = np.stack([sample_pure_angles(geom, gen) for gen in gens])
+    logw = model.log_weight(X, gens)
     total = cfg.burn_in + cfg.samples * cfg.thin
-    stat = np.empty(total)
+    kept = np.empty((B, cfg.samples, n, n))
+    accepted = np.zeros(B)
+    stat = np.empty((B, total))
+    sq = (X ** 2).sum(axis=(1, 2))
     for step in range(total):
-        prop_rng = rngmod.stream(cfg.seed, chain_idx, step, tag="proposal")
-        Xp = X + proposal_std * prop_rng.normal(size=(n, n))
-        logw_p = model.log_weight(
-            Xp, rngmod.stream(cfg.seed, chain_idx, step + 1, tag="weight"))
-        log_ratio = (logw_p - logw
-                     - ((Xp ** 2).sum() - (X ** 2).sum()) / (2.0 * sigma_nu2))
-        u = rngmod.stream(cfg.seed, chain_idx, step, tag="accept").uniform()
-        if math.log(u) < log_ratio:
-            X, logw = Xp, logw_p
-            accepted += 1
-        stat[step] = (X ** 2).sum()
+        j = step % K
+        if j == 0:
+            gens = [rngmod.stream(cfg.seed, c, step // K, tag="block") for c in range(B)]
+            steps = proposal_std * np.stack([gen.standard_normal((K, n, n)) for gen in gens],
+                                            axis=1)
+            log_u = np.log(np.stack([gen.random(K) for gen in gens], axis=1))
+        Xp = X + steps[j]
+        sq_p = (Xp ** 2).sum(axis=(1, 2))
+        logw_p = model.log_weight(Xp, gens)
+        acc = log_u[j] < logw_p - logw - (sq_p - sq) / (2.0 * sigma_nu2)
+        X = np.where(acc[:, None, None], Xp, X)
+        logw = np.where(acc, logw_p, logw)
+        sq = np.where(acc, sq_p, sq)
+        accepted += acc
+        stat[:, step] = sq
         k = step - cfg.burn_in
-        if k >= 0 and (k % cfg.thin) == 0 and k // cfg.thin < cfg.samples:
-            kept[k // cfg.thin] = X
-    return kept, accepted / total, stat[cfg.burn_in:]
+        if k >= 0 and k % cfg.thin == 0:
+            kept[:, k // cfg.thin] = X
+    return kept, accepted / total, stat[:, cfg.burn_in:]
 
 
 def tune_proposal(cfg, model) -> float:
@@ -334,10 +381,10 @@ def tune_proposal(cfg, model) -> float:
                         seed=rngmod.spawn_seed(cfg.seed, 999), tune=False,
                         n_is=cfg.n_is)
     for _ in range(8):
-        _, acc, _ = _run_chain(probe, model, 0, sigma)
-        if acc < 0.30:
+        _, acc, _ = _run_chains(probe, model, sigma)
+        if acc[0] < 0.30:
             sigma /= 1.5
-        elif acc > 0.50:
+        elif acc[0] > 0.50:
             sigma *= 1.5
         else:
             break
@@ -355,7 +402,8 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
     fresh unbiased estimate is drawn for every proposal and the current
     state's estimate is recycled on rejection.  `method = "constant"` is
     the debug mode whose marginal is the pure gauge measure.  One weight
-    model serves the tuning pre-run and every chain.
+    model serves the tuning pre-run and every chain; all chains step
+    together as one batch (see `_run_chains`).
     """
     if method == "monte-carlo" and geom.N > 3:
         raise DomainError("default estimator chain limited to N <= 3")
@@ -363,10 +411,8 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
         raise DomainError("precomputed-coefficient mode limited to N <= 2")
     model = _WeightModel(geom, pot, method, max_len=max_len, n_is=cfg.n_is)
     sigma = tune_proposal(cfg, model)
-    results = [_run_chain(cfg, model, c, sigma) for c in range(cfg.n_chains)]
-    kept = np.stack([r[0] for r in results])
-    acc = np.array([r[1] for r in results])
-    iat = float(np.mean([integrated_autocorr_time(r[2]) for r in results]))
+    kept, acc, stat = _run_chains(cfg, model, sigma)
+    iat = float(np.mean([integrated_autocorr_time(series) for series in stat]))
     warnings = ()
     if np.any(acc < 0.05) or np.any(acc > 0.95):
         warnings = (f"acceptance rate outside [0.05, 0.95]: {acc}",)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from u1higgs import rng as rng_module
 from u1higgs.gauge_core import (
     GaugeField,
     GaugeTransform,
     apply_gauge,
+    axial_angles,
+    covariant_laplacian,
+    covariant_precision,
     log_u1,
     plaquette_loop,
     psi,
@@ -18,6 +22,7 @@ from u1higgs.lattice_geom import DomainError, Rect, build_lattice
 from u1higgs.loop_expansion import NumericalError
 from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
+    BLOCK_STEPS,
     ChainConfig,
     PotentialSpec,
     WeightEstimate,
@@ -31,6 +36,11 @@ from u1higgs.sampler import (
     sample_pure,
     sample_pure_angles,
 )
+from u1higgs.sampler import _complex_normals, _mc_log_weights, _WeightModel
+
+# numpy overflow or invalid-value warnings are failures: every estimator
+# returns finite values or raises a typed error
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 QUARTIC = PotentialSpec("quartic", c=1.0)
 
@@ -181,6 +191,30 @@ def test_mc_weight_overflow_raises():
         higgs_weight_mc(g, PotentialSpec(c=80.0), stream(4), n_samples=256)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_batched_precision_and_log_weight_match_single_field(N):
+    # the chain's batched precision is I - 2^-2N Lap_g of each axial field,
+    # and its log D-hat is the log-mean-exp of that chain's own log-weights,
+    # which higgs_weight_mc turns into its value
+    geom = build_lattice(N)
+    B, n_is = 3, 32
+    X = stream(40 + N).normal(0.0, 0.5, size=(B, geom.n, geom.n))
+    P = covariant_precision(N, *axial_angles(X))
+    eye = np.eye((geom.n - 1) ** 2)
+    for b in range(B):
+        ref = eye - 4.0 ** (-N) * covariant_laplacian(psi(geom, X[b]))
+        np.testing.assert_allclose(P[b], ref, rtol=0.0, atol=1e-15)
+    model = _WeightModel(geom, QUARTIC, "monte-carlo", n_is=n_is)
+    log_d = model.log_weight(X, [stream(50, b) for b in range(B)])
+    for b in range(B):
+        z = _complex_normals([stream(50, b)], n_is, P.shape[-1])
+        log_w = _mc_log_weights(P[b:b + 1], z, QUARTIC)[0]
+        expected = special.logsumexp(log_w) - math.log(n_is)
+        assert log_d[b] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        est = higgs_weight_mc(psi(geom, X[b]), QUARTIC, stream(50, b), n_is)
+        assert math.log(est.value) == pytest.approx(log_d[b], rel=1e-12, abs=1e-12)
+
+
 def test_mc_vs_loop_expansion_n2():
     geom = build_lattice(2)
     g = psi(geom, sample_pure_angles(geom, stream(13)))
@@ -226,6 +260,35 @@ def test_chain_determinism():
     r2 = sample_interacting(geom, QUARTIC, cfg, method="loop-expansion", max_len=4)
     np.testing.assert_array_equal(r1.X, r2.X)
     np.testing.assert_array_equal(r1.acceptance, r2.acceptance)
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "loop-expansion"])
+def test_chain_streams_are_per_chain_and_block(method, monkeypatch):
+    # each chain opens one "init" stream and one stream per block of steps,
+    # addressed by (chain, block); chain 0 draws only from its own streams,
+    # so its states do not depend on how many chains step beside it
+    geom = build_lattice(2)
+    kw = dict(samples=30, burn_in=20, thin=2, seed=5, tune=False,
+              proposal_std=0.1, n_is=16)
+    total = kw["burn_in"] + kw["samples"] * kw["thin"]
+    assert total > BLOCK_STEPS
+    one = sample_interacting(geom, QUARTIC, ChainConfig(n_chains=1, **kw),
+                             method=method, max_len=4)
+    opened = []
+
+    def recording_stream(seed, *indices, tag=""):
+        opened.append((seed, indices, tag))
+        return stream(seed, *indices, tag=tag)
+
+    monkeypatch.setattr(rng_module, "stream", recording_stream)
+    three = sample_interacting(geom, QUARTIC, ChainConfig(n_chains=3, **kw),
+                               method=method, max_len=4)
+    blocks = -(-total // BLOCK_STEPS)
+    expected = [(5, (c,), "init") for c in range(3)] \
+        + [(5, (c, k), "block") for c in range(3) for k in range(blocks)]
+    assert sorted(opened) == sorted(expected)
+    np.testing.assert_array_equal(three.X[0], one.X[0])
+    assert three.acceptance[0] == one.acceptance[0]
 
 
 def test_two_seeds_agree_statistically():
