@@ -84,10 +84,6 @@ class GaugeField:
             return -float(self.theta_v[a1, b2])
         raise DomainError(f"nodes {x} and {y} are not adjacent")
 
-    def pos_bond_angle(self, bond: Bond) -> float:
-        kind, k1, k2 = bond
-        return float(self.theta_h[k1, k2] if kind == 'h' else self.theta_v[k1, k2])
-
     def plaquette_angles(self) -> np.ndarray:
         """log g(boundary p) for every plaquette, shape (n, n), in [-pi, pi)."""
         th, tv = self.theta_h, self.theta_v

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gauge_core import GaugeField, GaugeTransform, apply_gauge, log_u1, to_axial, wrap_angle
 from .lattice_geom import DomainError, Rect, build_lattice
-from .norms import log_oneform, norm_gr, seminorm_rho
+from .norms import log_oneform, norm_gr, pair_max_table, pair_rows, pair_sup, seminorm_rho
 
 TWO_PI = 2.0 * math.pi
 SMALLNESS_TOL = 1e-9  # |sum beta_i mod 2pi| beyond this is a geometry bug
@@ -41,28 +41,35 @@ def flatness(g: GaugeField, alpha: float) -> FlatnessReport:
     Exhaustive over all rectangles via a summed-area table of the plaquette
     log-holonomies.
     """
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
-    n = g.geom.n
+    return flatness_sweep(g)(alpha)
+
+
+def flatness_sweep(g: GaugeField):
+    """The exponent-free rectangle table of g, once; returns the function
+    alpha -> `flatness(g, alpha)` that reads every exponent from it.
+
+    Rows are the column pairs x1 < x2 of the summed-area table S, positions
+    the rows y: C[y, (x1, x2)] = S[x2, y] - S[x1, y] (see `norms` for the
+    kernel, its exactness and the tie order x1, x2, y1, y2).
+    """
+    n, N = g.geom.n, g.geom.N
     P = g.plaquette_angles()
     S = np.zeros((n + 1, n + 1))
     S[1:, 1:] = P.cumsum(axis=0).cumsum(axis=1)
-    pow_neg = np.ones(n + 1)
-    pow_neg[1:] = np.arange(1, n + 1, dtype=float) ** (-alpha / 2.0)
-    area_scale = (4.0 ** (-g.geom.N)) ** (-alpha / 2.0)
-    y1, y2 = np.triu_indices(n + 1, 1)
-    ypow = pow_neg[y2 - y1]
-    best, arg = -1.0, None
-    for x1 in range(n):
-        D = S[x1 + 1:, :] - S[x1, :]                      # (n - x1, n+1)
-        vals = np.abs(D[:, y2] - D[:, y1])                # (n - x1, npairs)
-        vals *= pow_neg[np.arange(x1 + 1, n + 1) - x1][:, None] * ypow[None, :]
-        i = int(np.argmax(vals))
-        r, c = divmod(i, vals.shape[1])
-        if vals[r, c] > best:
-            best = float(vals[r, c])
-            arg = Rect(x1, int(y1[c]), r + 1, int(y2[c] - y1[c]), g.geom.N)
-    return FlatnessReport(alpha, best * area_scale, arg)
+    C, x1, x2 = pair_rows(S.T)
+    M = pair_max_table(C)
+    dx = x2 - x1
+
+    def at(alpha: float) -> FlatnessReport:
+        if alpha < 0:
+            raise DomainError("alpha must be nonnegative")
+        pow_neg = np.ones(n + 1)
+        pow_neg[1:] = np.arange(1, n + 1, dtype=float) ** (-alpha / 2.0)
+        area_scale = (4.0 ** (-N)) ** (-alpha / 2.0)
+        best, (L, r, y1) = pair_sup(C, M, pow_neg[1:, None] * pow_neg[dx][None, :], False)
+        return FlatnessReport(alpha, best * area_scale,
+                              Rect(int(x1[r]), y1, int(dx[r]), L, N))
+    return at
 
 
 def rect_plaquette_log_sum(g: GaugeField, r: Rect) -> float:
@@ -290,7 +297,8 @@ def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
     the fallback flag still reports the theorem condition).
     """
     N = g.geom.N
-    fr = flatness(g, alpha)
+    flat = flatness_sweep(g)
+    fr = flat(alpha)
     m_theorem = theorem_scale(fr.value, alpha)
     used_m = force_m if force_m is not None else (m_theorem if m_theorem <= N else None)
     if used_m is not None and not (1 <= used_m <= N):
@@ -328,7 +336,7 @@ def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
         norms_out[beta] = {"norm_gr": gr, "seminorm_rho": sr, "norm_full": gr + sr}
         trivial[beta] = 2.0 * math.pi * 2.0 ** (N * (1.0 + beta / 2.0))
         if used_m is not None:
-            f_bk = flatness(g, beta + kappa).value
+            f_bk = flat(beta + kappa).value
             gr_bound[(beta, kappa)] = (c * 2.0 ** (used_m + 1)
                                        + 4.0 * f_bk * 2.0 ** (-(used_m + 1) * kappa)
                                        / (1.0 - 2.0 ** (-kappa)))

@@ -51,10 +51,6 @@ class LatticeGeometry:
         return 1 << self.N
 
     @property
-    def spacing(self) -> float:
-        return 2.0 ** (-self.N)
-
-    @property
     def node_count(self) -> int:
         return (self.n + 1) ** 2
 
@@ -79,10 +75,6 @@ class LatticeGeometry:
         for k2 in range(1, self.n):
             for k1 in range(1, self.n):
                 yield (k1, k2)
-
-    def is_interior(self, node: tuple[int, int]) -> bool:
-        k1, k2 = node
-        return 0 < k1 < self.n and 0 < k2 < self.n
 
     def pos_bonds(self) -> Iterator[Bond]:
         n = self.n

@@ -62,14 +62,6 @@ class MultiGraph:
         a, b = self.edges[e]
         return a == b
 
-    def self_loops(self) -> list[int]:
-        return [e for e in range(len(self.edges)) if self.is_self_loop(e)]
-
-    def out_edges(self, v) -> list[int]:
-        return [e for e, (a, _) in enumerate(self.edges) if a == v]
-
-    def in_edges(self, v) -> list[int]:
-        return [e for e, (_, b) in enumerate(self.edges) if b == v]
 
 
 # --------------------------------------------------------------------------

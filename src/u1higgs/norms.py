@@ -1,16 +1,49 @@
-"""Holder-Besov-type norms on lattice 1-forms.
+"""Holder-Besov-type norms on lattice 1-forms, and the pair-sup kernel.
 
 A 1-form assigns a real number to every positively oriented bond.  Segment
-evaluations are O(1) after a one-time prefix-sum table per lattice line;
-the grid norm and the rho-seminorm enumerate their suprema exhaustively
-(budget-guarded) with a fixed deterministic order so reported maximizers
-are reproducible: direction, then line, then base, then length, first
-maximizer wins on ties.
+evaluations are O(1) after a one-time prefix-sum table per lattice line.
+
+Pair-sup kernel.  The grid norm, the rho-seminorm and the non-flatness
+[g]_alpha of `gauge_fixing` are all sups over the cells of a table C of P
+positions by R rows:
+
+    sup over r and j1 < j2 of  |C[j2, r] - C[j1, r]| (op) w[L, r],  L = j2 - j1,
+
+with (op) one of * and /, and a weight w > 0 that depends on (L, r) only.
+
+* `norm_gr`: rows are the lines (direction, line) and C the prefix sums
+  along them; the value is |d| / denom[L], denom[L] = (L 2^-N)^alpha.
+* `seminorm_rho`: rows are the extent pairs (direction, j1 < j2),
+  C[t, r] = P[t, j2] - P[t, j1] for the prefix sums P of line t, and the
+  positions are the lines t; the value is
+  |d| / (pow_half[L] * len_pow[r]), pow_half[k] = (k 2^-N)^(alpha/2).
+* `flatness`: rows are the column pairs x1 < x2 of the summed-area table
+  S, C[y, r] = S[x2, y] - S[x1, y]; the value is
+  |d| * (pow_neg[x2 - x1] * pow_neg[L]), pow_neg[k] = k^(-alpha/2).
+
+For a fixed w > 0 the correctly rounded a*w and a/w are nondecreasing in a.
+So the sup is the max over (L, r) of M[L, r] (op) w[L, r], where the table
+M[L, r] = max_j |C[j+L, r] - C[j, r]| (`pair_max_table`) is built one whole
+array per length L and holds no exponent: one table serves every exponent.
+The value is the same float as the expression evaluated at every pair.
+
+Ties.  The reported maximizer is the first maximizing pair in a fixed scan
+order:
+
+* `norm_gr`: direction, line, base, length;
+* `seminorm_rho`: direction, line, line2, base, length;
+* `flatness`: x1, x2, y1, y2.
+
+Rounding can map a smaller |d| to the same value, so for every tied cell
+(L, r) the start j is the first position whose rounded value equals the sup
+(one array step per distinct tied L).  When the sup is 0 every pair ties,
+and each order above starts at r = 0, j = 0, L = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,9 +117,68 @@ def eval_segment_naive(A: OneForm, l: Segment) -> float:
     return float(total)
 
 
-def _line_tables(A: OneForm):
-    ph, pv = A.prefix_tables()
-    return ((1, ph), (2, pv))
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    k1, k2 = np.triu_indices(n, 1)
+    k1.flags.writeable = k2.flags.writeable = False
+    return k1, k2
+
+
+def pair_rows(T: np.ndarray):
+    """Columns T[:, k2] - T[:, k1] for every k1 < k2, in (k1, k2) order,
+    with the pair index arrays k1 and k2."""
+    P, n1 = T.shape
+    k1, k2 = _pairs(n1)
+    C = np.empty((P, len(k1)))
+    o = 0
+    for a in range(n1 - 1):
+        np.subtract(T[:, a + 1:], T[:, a:a + 1], out=C[:, o:o + n1 - 1 - a])
+        o += n1 - 1 - a
+    return C, k1, k2
+
+
+def pair_max_table(C: np.ndarray) -> np.ndarray:
+    """M[L - 1, r] = max_j |C[j + L, r] - C[j, r]| for L = 1..P-1, where C
+    has shape (P, R); one whole-array step per length L."""
+    P, R = C.shape
+    M = np.empty((P - 1, R))
+    d = np.empty((P - 1, R))
+    for L in range(1, P):
+        dl = d[:P - L]
+        np.subtract(C[L:], C[:-L], out=dl)
+        np.abs(dl, out=dl)
+        dl.max(axis=0, out=M[L - 1])
+    return M
+
+
+def _row_first(L, r, j):
+    return r, j, L
+
+
+def pair_sup(C: np.ndarray, M: np.ndarray, w: np.ndarray, divide: bool,
+             key=_row_first) -> tuple[float, tuple[int, int, int]]:
+    """sup over j, L, r of |C[j+L, r] - C[j, r]| * w[L-1, r] (/ w if `divide`)
+    from M = pair_max_table(C), and its first maximizer (L, r, j) in the
+    scan order `key(L, r, j)` (a tuple of arrays, primary key first).
+
+    `w` broadcasts to M's shape.  Only tied cells are rescanned for their
+    start j, one array step per distinct tied L.
+    """
+    w = np.broadcast_to(w, M.shape)
+    vals = M / w if divide else M * w
+    top = vals.max()
+    if top == 0.0:
+        return 0.0, (1, 0, 0)
+    Ls, rs = np.nonzero(vals == top)
+    js = np.empty_like(rs)
+    for l in set(Ls.tolist()):
+        at = Ls == l
+        r, L = rs[at], l + 1
+        d = np.abs(C[L:, r] - C[:-L, r])
+        v = d / w[l, r] if divide else d * w[l, r]
+        js[at] = np.argmax(v == top, axis=0)
+    i = np.lexsort(key(Ls + 1, rs, js)[::-1])[0] if len(rs) > 1 else 0
+    return float(top), (int(Ls[i]) + 1, int(rs[i]), int(js[i]))
 
 
 def norm_gr(A: OneForm, alpha: float) -> float:
@@ -98,19 +190,12 @@ def norm_gr_argmax(A: OneForm, alpha: float) -> tuple[float, dict]:
     if not (0.0 <= alpha <= 1.0):
         raise DomainError("alpha must be in [0, 1]")
     n = A.geom.n
-    j1, j2 = np.triu_indices(n + 1, 1)
-    lens = (j2 - j1) * 2.0 ** (-A.geom.N)
-    denom = lens ** alpha
-    best, arg = -1.0, None
-    for direction, table in _line_tables(A):
-        vals = np.abs(table[:, j2] - table[:, j1]) / denom[None, :]
-        for t in range(n + 1):
-            i = int(np.argmax(vals[t]))
-            if vals[t, i] > best:
-                best = float(vals[t, i])
-                arg = {"direction": direction, "line": t,
-                       "base": int(j1[i]), "nbonds": int(j2[i] - j1[i])}
-    return best, arg
+    ph, pv = A.prefix_tables()
+    C = np.concatenate((ph.T, pv.T), axis=1)  # [j, (direction, line)]
+    denom = (np.arange(1, n + 1) * 2.0 ** (-A.geom.N)) ** alpha
+    best, (L, r, j) = pair_sup(C, pair_max_table(C), denom[:, None], True)
+    direction, line = divmod(r, n + 1)
+    return best, {"direction": direction + 1, "line": line, "base": j, "nbonds": L}
 
 
 def seminorm_rho(A: OneForm, alpha: float, *, sampled: bool = False,
@@ -137,25 +222,19 @@ def seminorm_rho_argmax(A: OneForm, alpha: float, *, sampled: bool = False,
     if sampled:
         return _seminorm_rho_sampled(A, alpha, sample_quota, seed)
     n = A.geom.n
-    j1, j2 = np.triu_indices(n + 1, 1)
-    len_units = j2 - j1
+    ph, pv = A.prefix_tables()
+    Ch, j1, j2 = pair_rows(ph)
+    C = np.concatenate((Ch, pair_rows(pv)[0]), axis=1)  # [line, (direction, j1 < j2)]
+    R = len(j1)
     # rho^alpha = (len * dist)^{alpha/2} separates into per-factor powers
     pow_half = (np.arange(n + 1) * 2.0 ** (-N)) ** (alpha / 2.0)
-    len_pow = pow_half[len_units]
-    best, arg = -1.0, None
-    for direction, table in _line_tables(A):
-        D = table[:, j2] - table[:, j1]  # [line, extent pair]
-        for t1 in range(n):
-            diffs = np.abs(D[t1 + 1:, :] - D[t1, :][None, :])
-            dist_pow = pow_half[np.arange(t1 + 1, n + 1) - t1]
-            vals = diffs / (dist_pow[:, None] * len_pow[None, :])
-            i = int(np.argmax(vals))
-            r, c = divmod(i, vals.shape[1])
-            if vals[r, c] > best:
-                best = float(vals[r, c])
-                arg = {"direction": direction, "line": t1, "line2": t1 + 1 + r,
-                       "base": int(j1[c]), "nbonds": int(len_units[c])}
-    return best, arg
+    len_pow = np.tile(pow_half[j2 - j1], 2)
+    best, (L, r, t1) = pair_sup(
+        C, pair_max_table(C), pow_half[1:, None] * len_pow[None, :], True,
+        key=lambda L, r, j: (r // R, j, L, r % R))
+    direction, c = divmod(r, R)
+    return best, {"direction": direction + 1, "line": t1, "line2": t1 + L,
+                  "base": int(j1[c]), "nbonds": int(j2[c] - j1[c])}
 
 
 def _seminorm_rho_sampled(A: OneForm, alpha, quota, seed):

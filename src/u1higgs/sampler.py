@@ -138,7 +138,7 @@ class WeightEstimate:
             raise DomainError("Higgs weight estimates must be positive")
 
 
-MC_MAX_SCALE = 6
+MC_MAX_SCALE = 3  # above this the importance weights give no usable estimate
 LOOP_MAX_SCALE = 2
 ESS_WARN_FRACTION = 0.1
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -405,8 +405,8 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
     model serves the tuning pre-run and every chain; all chains step
     together as one batch (see `_run_chains`).
     """
-    if method == "monte-carlo" and geom.N > 3:
-        raise DomainError("default estimator chain limited to N <= 3")
+    if method == "monte-carlo" and geom.N > MC_MAX_SCALE:
+        raise DomainError(f"default estimator chain limited to N <= {MC_MAX_SCALE}")
     if method == "loop-expansion" and geom.N > LOOP_MAX_SCALE:
         raise DomainError("precomputed-coefficient mode limited to N <= 2")
     model = _WeightModel(geom, pot, method, max_len=max_len, n_is=cfg.n_is)

@@ -19,6 +19,7 @@ from u1higgs.gauge_fixing import (
     axial_fix,
     coarse_restrict,
     flatness,
+    flatness_sweep,
     gauge_fix,
     landau_alpha_formula,
     landau_extend,
@@ -94,6 +95,61 @@ def test_flatness_argmax_recomputes():
     r = rep.argmax
     val = abs(rect_plaquette_log_sum(g, r)) * float(r.area) ** (-0.25)
     assert val == pytest.approx(rep.value, rel=1e-12)
+
+
+def _flatness_scan(g, alpha):
+    """flatness by plain loops over all rectangles: today's expression in the
+    scan order (x1, x2, y1, y2), first strict maximum kept."""
+    n, N = g.geom.n, g.geom.N
+    S = np.zeros((n + 1, n + 1))
+    S[1:, 1:] = g.plaquette_angles().cumsum(axis=0).cumsum(axis=1)
+    pow_neg = np.ones(n + 1)
+    pow_neg[1:] = np.arange(1, n + 1, dtype=float) ** (-alpha / 2.0)
+    S, pow_neg = S.tolist(), pow_neg.tolist()
+    best, arg = -1.0, None
+    for x1 in range(n + 1):
+        for x2 in range(x1 + 1, n + 1):
+            for y1 in range(n + 1):
+                for y2 in range(y1 + 1, n + 1):
+                    d = abs((S[x2][y2] - S[x1][y2]) - (S[x2][y1] - S[x1][y1]))
+                    v = d * (pow_neg[x2 - x1] * pow_neg[y2 - y1])
+                    if v > best:
+                        best, arg = v, Rect(x1, y1, x2 - x1, y2 - y1, N)
+    return best * (4.0 ** (-N)) ** (-alpha / 2.0), arg
+
+
+def _flatness_corpus(N, rng):
+    """Random, pure-gauge, zero, constant-plaquette and sparse psi fields (the
+    sparse ones tie heavily at alpha = 0), and a gauge-fixed field."""
+    geom = build_lattice(N)
+    n = geom.n
+    yield GaugeField.random(geom, rng)
+    yield pure_gauge_field(N, rng)
+    yield GaugeField.identity(geom)
+    yield psi(geom, np.full((n, n), 0.3))
+    X = np.zeros((n, n))
+    X[rng.integers(0, n, 3), rng.integers(0, n, 3)] = 0.5
+    yield psi(geom, X)
+    g = pure_gauge_field(N, rng)
+    yield apply_gauge(g, gauge_fix(g, 0.5, force_m=1)[0])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_flatness_matches_scan_order_oracle(N):
+    rng = np.random.default_rng(200 + N)
+    for g in _flatness_corpus(N, rng):
+        for alpha in (0.0, 0.5, 1.0, 1.5):
+            rep = flatness(g, alpha)
+            assert (rep.value, rep.argmax) == _flatness_scan(g, alpha)
+
+
+def test_flatness_sweep_equals_single_exponent_calls():
+    rng = np.random.default_rng(210)
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.5)
+    for N in (1, 2, 3, 4):
+        for g in _flatness_corpus(N, rng):
+            at = flatness_sweep(g)
+            assert [at(a) for a in alphas] == [flatness(g, a) for a in alphas]
 
 
 # ---------------------------------------------------------------- coarse restriction

@@ -249,3 +249,94 @@ def test_argmax_recomputes():
     s = Segment((arg["base"], arg["line"]) if arg["direction"] == 1
                 else (arg["line"], arg["base"]), arg["direction"], arg["nbonds"], 3)
     assert abs(eval_segment(A, s)) / s.length ** 0.5 == pytest.approx(val, rel=1e-12)
+
+
+# ---------------------------------------------------------------- scan-order oracles
+
+def _norm_gr_scan(A, alpha):
+    """norm_gr_argmax by plain loops over all pairs: today's expression in
+    the scan order (direction, line, base, length), first strict max kept."""
+    N, n = A.geom.N, A.geom.n
+    denom = ((np.arange(1, n + 1) * 2.0 ** (-N)) ** alpha).tolist()
+    best, arg = -1.0, None
+    for direction, table in enumerate(A.prefix_tables(), start=1):
+        T = table.tolist()
+        for t in range(n + 1):
+            for j1 in range(n + 1):
+                for j2 in range(j1 + 1, n + 1):
+                    v = abs(T[t][j2] - T[t][j1]) / denom[j2 - j1 - 1]
+                    if v > best:
+                        best, arg = v, {"direction": direction, "line": t,
+                                        "base": j1, "nbonds": j2 - j1}
+    return best, arg
+
+
+def _seminorm_rho_scan(A, alpha):
+    """seminorm_rho_argmax by plain loops over all pairs, scan order
+    (direction, line, line2, base, length), first strict max kept."""
+    N, n = A.geom.N, A.geom.n
+    pow_half = ((np.arange(n + 1) * 2.0 ** (-N)) ** (alpha / 2.0)).tolist()
+    best, arg = -1.0, None
+    for direction, table in enumerate(A.prefix_tables(), start=1):
+        T = table.tolist()
+        for t1 in range(n + 1):
+            for t2 in range(t1 + 1, n + 1):
+                for j1 in range(n + 1):
+                    for j2 in range(j1 + 1, n + 1):
+                        d = abs((T[t2][j2] - T[t2][j1]) - (T[t1][j2] - T[t1][j1]))
+                        v = d / (pow_half[t2 - t1] * pow_half[j2 - j1])
+                        if v > best:
+                            best, arg = v, {"direction": direction, "line": t1,
+                                            "line2": t2, "base": j1,
+                                            "nbonds": j2 - j1}
+    return best, arg
+
+
+def _tie_corpus(N, rng):
+    """Random, integer-valued (exact sums, many ties), zero, constant,
+    psi-field (all h-bonds zero) and single-line forms."""
+    geom = build_lattice(N)
+    n = geom.n
+    yield random_form(N, rng)
+    yield OneForm(geom, rng.integers(-2, 3, (n, n + 1)).astype(float),
+                  rng.integers(-2, 3, (n + 1, n)).astype(float))
+    yield OneForm.zero(geom)
+    yield OneForm(geom, np.full((n, n + 1), 0.7), np.full((n + 1, n), 0.7))
+    yield log_oneform(psi(geom, rng.normal(0.0, 2.0 ** -N, (n, n))))
+    X = np.zeros((n, n))
+    X[n // 2, n // 2] = 0.5
+    yield log_oneform(psi(geom, X))
+    # one middle line with equal end bonds: its top pair recurs along it
+    v = np.zeros((n + 1, n))
+    v[n // 2, 0] = v[n // 2, -1] = 1.0
+    yield OneForm(geom, np.zeros((n, n + 1)), v)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pair_sup_matches_scan_order_oracle(N):
+    rng = np.random.default_rng(100 + N)
+    for A in _tie_corpus(N, rng):
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            assert norm_gr_argmax(A, alpha) == _norm_gr_scan(A, alpha)
+            assert seminorm_rho_argmax(A, alpha) == _seminorm_rho_scan(A, alpha)
+
+
+@pytest.mark.parametrize("lines", [(1,), (1, 3)])
+def test_tie_start_is_first_rounded_maximum(lines):
+    # two single bonds one ulp apart whose ratios round to the same float:
+    # the first in scan order wins, although the second has the larger |A(l)|
+    # (on one line: one tied cell; on two lines: two tied cells)
+    N, alpha = 2, 0.3
+    w = float(((np.arange(1, 5) * 2.0 ** (-N)) ** alpha)[0])  # denominator at L = 1
+    d1 = next(d for d in np.linspace(1.4, 1.9, 101)
+              if d / w == np.nextafter(d, 2.0) / w)
+    d2 = np.nextafter(d1, 2.0)
+    geom = build_lattice(N)
+    h = np.zeros((4, 5))
+    for t in lines:
+        h[:, t] = [d1, 0.0, -d2, 0.0]
+    A = OneForm(geom, h, np.zeros((5, 4)))
+    val, arg = norm_gr_argmax(A, alpha)
+    assert val == d1 / w == d2 / w
+    assert arg == {"direction": 1, "line": 1, "base": 0, "nbonds": 1}
+    assert (val, arg) == _norm_gr_scan(A, alpha)

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from u1higgs import rng as rng_module
+from u1higgs import sampler as sampler_module
 from u1higgs.gauge_core import (
     GaugeField,
     GaugeTransform,
@@ -23,6 +24,7 @@ from u1higgs.loop_expansion import NumericalError
 from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
     BLOCK_STEPS,
+    MC_MAX_SCALE,
     ChainConfig,
     PotentialSpec,
     WeightEstimate,
@@ -189,6 +191,24 @@ def test_mc_weight_overflow_raises():
     g = psi(geom, sample_pure_angles(geom, stream(3)))
     with pytest.raises(NumericalError, match="overflow"):
         higgs_weight_mc(g, PotentialSpec(c=80.0), stream(4), n_samples=256)
+
+
+def test_mc_weight_refuses_above_max_scale(monkeypatch):
+    # at N=4 the importance weights leave an ESS of 1-5 of 256 and at N>=5
+    # they overflow: N=4 is refused before a precision is built or a draw made
+    assert MC_MAX_SCALE == 3
+    geom = build_lattice(4)
+    g = psi(geom, sample_pure_angles(geom, stream(5)))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above MC_MAX_SCALE")
+
+    monkeypatch.setattr(sampler_module, "covariant_precision", no_work)
+    monkeypatch.setattr(sampler_module, "_complex_normals", no_work)
+    gen = stream(6)
+    with pytest.raises(DomainError, match="N <= 3"):
+        higgs_weight_mc(g, QUARTIC, gen, n_samples=256)
+    assert gen.random() == stream(6).random()  # no draw was taken
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
