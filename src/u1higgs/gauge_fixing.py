@@ -66,7 +66,7 @@ def flatness_sweep(g: GaugeField):
         pow_neg = np.ones(n + 1)
         pow_neg[1:] = np.arange(1, n + 1, dtype=float) ** (-alpha / 2.0)
         area_scale = (4.0 ** (-N)) ** (-alpha / 2.0)
-        best, (L, r, y1) = pair_sup(C, M, pow_neg[1:, None] * pow_neg[dx][None, :], False)
+        best, (L, r, y1) = pair_sup(C, M, pow_neg[1:], pow_neg[dx], False)
         return FlatnessReport(alpha, best * area_scale,
                               Rect(int(x1[r]), y1, int(dx[r]), L, N))
     return at

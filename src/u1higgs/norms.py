@@ -155,17 +155,18 @@ def _row_first(L, r, j):
     return r, j, L
 
 
-def pair_sup(C: np.ndarray, M: np.ndarray, w: np.ndarray, divide: bool,
-             key=_row_first) -> tuple[float, tuple[int, int, int]]:
-    """sup over j, L, r of |C[j+L, r] - C[j, r]| * w[L-1, r] (/ w if `divide`)
-    from M = pair_max_table(C), and its first maximizer (L, r, j) in the
-    scan order `key(L, r, j)` (a tuple of arrays, primary key first).
+def pair_sup(C: np.ndarray, M: np.ndarray, w_len: np.ndarray, w_row: np.ndarray,
+             divide: bool, key=_row_first) -> tuple[float, tuple[int, int, int]]:
+    """sup over j, L, r of |C[j+L, r] - C[j, r]| * w (/ w if `divide`), with
+    w = w_len[L-1] * w_row[r], from M = pair_max_table(C); and its first
+    maximizer (L, r, j) in the scan order `key(L, r, j)` (a tuple of
+    arrays, primary key first).
 
-    `w` broadcasts to M's shape.  Only tied cells are rescanned for their
-    start j, one array step per distinct tied L.
+    Only tied cells are rescanned for their start j, one array step per
+    distinct tied L.
     """
-    w = np.broadcast_to(w, M.shape)
-    vals = M / w if divide else M * w
+    vals = np.multiply.outer(w_len, w_row)
+    (np.divide if divide else np.multiply)(M, vals, out=vals)
     top = vals.max()
     if top == 0.0:
         return 0.0, (1, 0, 0)
@@ -175,8 +176,8 @@ def pair_sup(C: np.ndarray, M: np.ndarray, w: np.ndarray, divide: bool,
         at = Ls == l
         r, L = rs[at], l + 1
         d = np.abs(C[L:, r] - C[:-L, r])
-        v = d / w[l, r] if divide else d * w[l, r]
-        js[at] = np.argmax(v == top, axis=0)
+        w = w_len[l] * w_row[r]
+        js[at] = np.argmax((d / w if divide else d * w) == top, axis=0)
     i = np.lexsort(key(Ls + 1, rs, js)[::-1])[0] if len(rs) > 1 else 0
     return float(top), (int(Ls[i]) + 1, int(rs[i]), int(js[i]))
 
@@ -193,7 +194,7 @@ def norm_gr_argmax(A: OneForm, alpha: float) -> tuple[float, dict]:
     ph, pv = A.prefix_tables()
     C = np.concatenate((ph.T, pv.T), axis=1)  # [j, (direction, line)]
     denom = (np.arange(1, n + 1) * 2.0 ** (-A.geom.N)) ** alpha
-    best, (L, r, j) = pair_sup(C, pair_max_table(C), denom[:, None], True)
+    best, (L, r, j) = pair_sup(C, pair_max_table(C), denom, np.ones(2 * n + 2), True)
     direction, line = divmod(r, n + 1)
     return best, {"direction": direction + 1, "line": line, "base": j, "nbonds": L}
 
@@ -222,19 +223,17 @@ def seminorm_rho_argmax(A: OneForm, alpha: float, *, sampled: bool = False,
     if sampled:
         return _seminorm_rho_sampled(A, alpha, sample_quota, seed)
     n = A.geom.n
-    ph, pv = A.prefix_tables()
-    Ch, j1, j2 = pair_rows(ph)
-    C = np.concatenate((Ch, pair_rows(pv)[0]), axis=1)  # [line, (direction, j1 < j2)]
-    R = len(j1)
     # rho^alpha = (len * dist)^{alpha/2} separates into per-factor powers
     pow_half = (np.arange(n + 1) * 2.0 ** (-N)) ** (alpha / 2.0)
-    len_pow = np.tile(pow_half[j2 - j1], 2)
-    best, (L, r, t1) = pair_sup(
-        C, pair_max_table(C), pow_half[1:, None] * len_pow[None, :], True,
-        key=lambda L, r, j: (r // R, j, L, r % R))
-    direction, c = divmod(r, R)
-    return best, {"direction": direction + 1, "line": t1, "line2": t1 + L,
-                  "base": int(j1[c]), "nbonds": int(j2[c] - j1[c])}
+    best, arg = -1.0, None
+    for direction, table in enumerate(A.prefix_tables(), start=1):
+        C, j1, j2 = pair_rows(table)  # [line, extent pair j1 < j2]
+        val, (L, c, t1) = pair_sup(C, pair_max_table(C), pow_half[1:], pow_half[j2 - j1],
+                                   True, key=lambda L, r, j: (j, L, r))
+        if val > best:
+            best, arg = val, {"direction": direction, "line": t1, "line2": t1 + L,
+                              "base": int(j1[c]), "nbonds": int(j2[c] - j1[c])}
+    return best, arg
 
 
 def _seminorm_rho_sampled(A: OneForm, alpha, quota, seed):
