@@ -13,10 +13,10 @@ with (op) one of * and /, and a weight w > 0 that depends on (L, r) only.
 
 * `norm_gr`: rows are the lines (direction, line) and C the prefix sums
   along them; the value is |d| / denom[L], denom[L] = (L 2^-N)^alpha.
-* `seminorm_rho`: rows are the extent pairs (direction, j1 < j2),
-  C[t, r] = P[t, j2] - P[t, j1] for the prefix sums P of line t, and the
-  positions are the lines t; the value is
-  |d| / (pow_half[L] * len_pow[r]), pow_half[k] = (k 2^-N)^(alpha/2).
+* `seminorm_rho`, one table per direction: rows are the extent pairs
+  j1 < j2, C[t, r] = P[t, j2] - P[t, j1] for the prefix sums P of line t,
+  and the positions are the lines t; the value is
+  |d| / (pow_half[L] * pow_half[j2 - j1]), pow_half[k] = (k 2^-N)^(alpha/2).
 * `flatness`: rows are the column pairs x1 < x2 of the summed-area table
   S, C[y, r] = S[x2, y] - S[x1, y]; the value is
   |d| * (pow_neg[x2 - x1] * pow_neg[L]), pow_neg[k] = k^(-alpha/2).
