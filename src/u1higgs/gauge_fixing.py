@@ -61,7 +61,7 @@ def flatness_sweep(g: GaugeField):
     dx = x2 - x1
 
     def at(alpha: float) -> FlatnessReport:
-        if alpha < 0:
+        if not alpha >= 0:  # also refuses nan, which would leave no maximizer
             raise DomainError("alpha must be nonnegative")
         pow_neg = np.ones(n + 1)
         pow_neg[1:] = np.arange(1, n + 1, dtype=float) ** (-alpha / 2.0)

@@ -44,6 +44,13 @@ def test_flatness_identity():
     assert flatness(g, 0.5).value == 0.0
 
 
+def test_flatness_rejects_bad_exponent():
+    g = GaugeField.identity(build_lattice(2))
+    for alpha in (-0.5, math.nan):
+        with pytest.raises(DomainError):
+            flatness(g, alpha)
+
+
 def test_flatness_single_plaquette():
     N, theta, alpha = 3, 0.9, 0.6
     geom = build_lattice(N)
