@@ -15,6 +15,18 @@ Conventions:
     expansion side accounts for it);
   * loop classes are edge sequences up to cyclic rotation (complex) or up
     to rotation and reversal with self-loop signs normalized (real).
+
+Each loop class is generated once, as its canonical (least) sequence, by
+the FKM prenecklace rule (Fredricksen, Kessler & Maiorana; Ruskey, Savage &
+Wang 1992).  A walk a_1 ... a_t starts at its smallest letter, and p is the
+length of its longest Lyndon prefix (p = 1 after the first letter).  The
+walk is extended with a letter a only if a >= a_{t+1-p}, and p becomes t + 1
+when a > a_{t+1-p}; every walk the generator holds is then a prenecklace.
+A closed walk is the least rotation of its class exactly when t % p == 0,
+and its rotation stabiliser has S = t / p elements.  For the real field
+(bracelets, Sawada 2001) a necklace is kept only if it is <= the least
+rotation of its normalised reverse, and then S = (t / p) * (2 if the two
+are equal, else 1).
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from scipy import integrate
 from .lattice_geom import DomainError, LatticeGeometry, ResourceError
 
 DEFAULT_MAX_LEN = 16
-DFS_NODE_BUDGET = 5_000_000
+DFS_NODE_BUDGET = 5_000_000  # generator nodes (walk prefixes) per enumeration
 MULTISET_BUDGET = 2_000_000
 
 
@@ -298,37 +310,64 @@ class PathClass:
         return len(self.edges)
 
 
-def _canon_rotation(seq: tuple) -> tuple:
-    return min(seq[r:] + seq[:r] for r in range(len(seq)))
-
-
-def _complex_symmetry(seq: tuple[int, ...]) -> int:
-    n = len(seq)
-    return sum(1 for r in range(n) if seq[r:] + seq[:r] == seq)
-
-
-def _real_normalize(graph: MultiGraph, seq):
-    return tuple((e, 1 if graph.is_self_loop(e) else p) for (e, p) in seq)
-
-
-def _real_reverse(graph: MultiGraph, seq):
-    return _real_normalize(graph, tuple((e, -p) for (e, p) in reversed(seq)))
-
-
 def _real_orbit(graph: MultiGraph, seq):
-    n = len(seq)
-    rev = _real_reverse(graph, seq)
-    for r in range(n):
+    """Rotations of a real sequence and of its reverse, self-loop signs
+    normalised: the orbit that the bracelet rule of `_enumerate_raw`
+    takes the least element of."""
+    rev = tuple((e, 1 if graph.is_self_loop(e) else -p) for (e, p) in reversed(seq))
+    for r in range(len(seq)):
         yield seq[r:] + seq[:r]
         yield rev[r:] + rev[:r]
 
 
-def _real_canon_and_symmetry(graph: MultiGraph, seq):
-    seq = _real_normalize(graph, seq)
-    canon = min(_real_orbit(graph, seq))
-    # stabilizer size: group elements (rotation, optional reversal) fixing it
-    S = sum(1 for t in _real_orbit(graph, canon) if t == canon)
-    return canon, S
+def _move_table(G: MultiGraph, fieldtag: str, allowed=None) -> dict:
+    """Vertex -> [(letter, next vertex)] by increasing letter.
+
+    A letter is an int: the edge id for C, and 2 * edge + 1 (along the
+    orientation) or 2 * edge (against it) for R, so that letters order like
+    the (edge, sign) pairs they stand for.  Real self-loops are walked along
+    their orientation only (sign normalised to +1).  With `allowed`, only
+    edges with both ends in it are kept.
+    """
+    moves: dict = {}
+    for e, (a, b) in enumerate(G.edges):
+        if allowed is not None and not (a in allowed and b in allowed):
+            continue
+        if fieldtag == "C":
+            moves.setdefault(a, []).append((e, b))
+        else:
+            moves.setdefault(a, []).append((2 * e + 1, b))
+            if a != b:
+                moves.setdefault(b, []).append((2 * e, a))
+    for out in moves.values():
+        out.sort()
+    return moves
+
+
+def _reversed_letters(G: MultiGraph) -> list[int]:
+    """Real letter -> the letter of the same step walked backwards, with the
+    self-loop sign normalised (so the identity on self-loops)."""
+    return [x if G.is_self_loop(x >> 1) else x ^ 1 for x in range(2 * G.n_edges)]
+
+
+def _decode(letters, fieldtag: str) -> tuple:
+    if fieldtag == "C":
+        return tuple(letters)
+    return tuple((x >> 1, 1 if x & 1 else -1) for x in letters)
+
+
+class _NodeBudget:
+    """Generator nodes left to a loop or path enumeration."""
+
+    def __init__(self, nodes: int, what: str):
+        self.left, self.what = nodes, what
+
+    def spend(self, found) -> None:
+        """Take one node; `found` is what the enumeration has emitted."""
+        if self.left <= 0:
+            raise ResourceError(f"{self.what} enumeration budget exhausted; "
+                                f"partial count {len(found)}")
+        self.left -= 1
 
 
 def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str,
@@ -336,7 +375,8 @@ def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str,
     """One representative per loop equivalence class of length <= max_len.
 
     Classes are returned sorted by (length, canonical sequence).  Vertices
-    may be restricted to a subset (loops must stay inside it).
+    may be restricted to a subset (loops must stay inside it).  The node
+    budget counts the generator's nodes (the walk prefixes it extends).
     """
     if max_len < 1:
         return []
@@ -349,40 +389,46 @@ def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str,
 
 def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str,
                    restrict_to=None, node_budget: int = DFS_NODE_BUDGET):
-    allowed = set(G.vertices if restrict_to is None else restrict_to)
-    out_by_vertex: dict = {v: [] for v in allowed}
-    for e, (a, b) in enumerate(G.edges):
-        if a in allowed and b in allowed:
-            out_by_vertex[a].append((e, 1, b))
-            if fieldtag == "R" and a != b:
-                out_by_vertex[b].append((e, -1, a))
-    classes = {}
-    budget = [node_budget]
+    """Canonical loop classes by the FKM prenecklace rule (see the module
+    docstring): every walk prefix the generator extends is a prenecklace,
+    so each class is emitted once, by its canonical sequence."""
+    if max_len < 1:
+        return []
+    moves = _move_table(G, fieldtag,
+                        set(G.vertices if restrict_to is None else restrict_to))
+    flip = _reversed_letters(G) if fieldtag == "R" else None
+    budget = _NodeBudget(node_budget, "loop")
+    found = []
+    seq = []
 
-    def dfs(start, cur, seq):
-        if budget[0] <= 0:
-            raise ResourceError(
-                f"loop enumeration budget exhausted; partial count {len(classes)}")
-        budget[0] -= 1
-        if seq and cur == start:
-            if fieldtag == "C":
-                canon = _canon_rotation(tuple(seq))
-                if canon not in classes:
-                    classes[canon] = ComplexLoopClass(canon, _complex_symmetry(canon))
+    def grow(cur, start, t, p):
+        budget.spend(found)
+        if cur == start and t % p == 0:
+            key = tuple(seq)
+            if flip is None:
+                found.append((key, t // p))
             else:
-                canon, S = _real_canon_and_symmetry(G, tuple(seq))
-                if canon not in classes:
-                    classes[canon] = RealLoopClass(canon, S)
-        if len(seq) >= max_len:
+                rev = [flip[x] for x in reversed(seq)]
+                least = min(tuple(rev[r:] + rev[:r]) for r in range(t))
+                if key <= least:
+                    found.append((key, t // p * (2 if key == least else 1)))
+        if t >= max_len:
             return
-        for (e, p, nxt) in out_by_vertex.get(cur, ()):
-            seq.append(e if fieldtag == "C" else (e, p))
-            dfs(start, nxt, seq)
-            seq.pop()
+        floor = seq[t - p]
+        for a, nxt in moves.get(cur, ()):
+            if a >= floor:
+                seq.append(a)
+                grow(nxt, start, t + 1, p if a == floor else t + 1)
+                seq.pop()
 
-    for v in sorted(allowed, key=repr):
-        dfs(v, v, [])
-    return sorted(classes.values(), key=lambda c: (c.length, c.edges))
+    # each walk starts at its smallest letter
+    for a, start, nxt in sorted((a, v, nxt) for v, out in moves.items() for a, nxt in out):
+        seq.append(a)
+        grow(nxt, start, 1, 1)
+        seq.pop()
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    cls = ComplexLoopClass if fieldtag == "C" else RealLoopClass
+    return [cls(_decode(key, fieldtag), S) for key, S in found]
 
 
 def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
@@ -390,54 +436,43 @@ def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
     """Path classes with endpoints in `endpoints`, intermediate vertices in
     `inner`; a path of length > 1 cannot start or end with a self-loop.
 
-    Internal machinery for the partial expansion.
+    Internal machinery for the partial expansion.  Walks the move table of
+    `_enumerate_raw` under the same generator-node budget.
     """
     inner = set(inner)
     endpoints = set(endpoints)
-    moves: dict = {}
-    for e, (a, b) in enumerate(G.edges):
-        moves.setdefault(a, []).append((e, 1, b))
-        if fieldtag == "R" and a != b:
-            moves.setdefault(b, []).append((e, -1, a))
+    moves = _move_table(G, fieldtag)
+    flip = _reversed_letters(G) if fieldtag == "R" else None
+    budget = _NodeBudget(node_budget, "path")
     classes = {}
-    budget = [node_budget]
+    seq = []
 
-    def record(seq):
-        if fieldtag == "C":
-            key = tuple(seq)
-            if key not in classes:
-                classes[key] = PathClass(key, 1)
-        else:
-            norm = _real_normalize(G, tuple(seq))
-            rev = _real_reverse(G, norm)
-            canon = min(norm, rev)
-            if canon not in classes:
-                classes[canon] = PathClass(canon, 2 if norm == rev else 1)
+    def record():
+        key = tuple(seq)
+        S = 1
+        if flip is not None:
+            rev = tuple(flip[x] for x in reversed(seq))
+            key, S = min(key, rev), (2 if key == rev else 1)
+        classes.setdefault(key, S)
 
-    def first_is_self(seq):
-        e0 = seq[0] if fieldtag == "C" else seq[0][0]
-        return G.is_self_loop(e0)
-
-    def dfs(cur, seq):
-        if budget[0] <= 0:
-            raise ResourceError("path enumeration budget exhausted")
-        budget[0] -= 1
+    def dfs(cur):
+        budget.spend(classes)
         if seq and cur not in inner:
             return  # may only pass through expanded sites
-        for (e, p, nxt) in moves.get(cur, ()):
-            is_self = G.is_self_loop(e)
-            seq.append(e if fieldtag == "C" else (e, p))
-            if nxt in endpoints:
-                # length > 1 paths cannot start or end with a self-loop
-                if len(seq) == 1 or not (is_self or first_is_self(seq)):
-                    record(seq)
-            if len(seq) < max_len and not (len(seq) == 1 and is_self):
-                dfs(nxt, seq)
+        for a, nxt in moves.get(cur, ()):
+            seq.append(a)
+            # length > 1 paths cannot end with a self-loop, and a path that
+            # starts with one is never extended
+            if nxt in endpoints and (len(seq) == 1 or nxt != cur):
+                record()
+            if len(seq) < max_len and not (len(seq) == 1 and nxt == cur):
+                dfs(nxt)
             seq.pop()
 
     for v in sorted(endpoints, key=repr):
-        dfs(v, [])
-    return sorted(classes.values(), key=lambda c: (c.length, c.edges))
+        dfs(v)
+    return [PathClass(_decode(key, fieldtag), S)
+            for key, S in sorted(classes.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
 def path_matrix(cls, M: OperatorAssignment) -> np.ndarray:
@@ -958,6 +993,101 @@ def higgs_site_measure(pot) -> RadialMeasure:
         lambda s: 2.0 * s * math.exp(-V(s) - 4.0 * s * s), name="higgs_site")
 
 
+def _step_forms(G: MultiGraph, geom: LatticeGeometry) -> np.ndarray:
+    """(edges, n*n + vertices) integer form of one step along each edge: its
+    winding contribution (row-major plaquettes), then its two edge ends.
+
+    A vertical step at column k1 across row k2 adds its sign to every
+    plaquette (j, k2) with j < k1, as in `gauge_core.winding_vector`; both
+    that rule and the incidence count are sums over the steps of a loop.
+    Stored as int8: for max_len <= HIGGS_MAX_LEN a multiset's summed form
+    has entries in [-16, 16] (an incidence is at most 2 * max_len).
+    """
+    n = geom.n
+    index = {v: i for i, v in enumerate(G.vertices)}
+    form = np.zeros((G.n_edges, n * n + len(index)), dtype=np.int8)
+    for e, (a, b) in enumerate(G.edges):
+        if a[0] == b[0]:
+            row = geom.plaquette_index(0, min(a[1], b[1]))
+            form[e, row:row + a[0]] = 1 if b[1] == a[1] + 1 else -1
+        form[e, n * n + index[a]] += 1
+        form[e, n * n + index[b]] += 1
+    return form
+
+
+def _multiset_table(lengths, S, feats: np.ndarray, max_total: int):
+    """The multisets `_multisets` walks, one array row each, in its pre-order.
+
+    Returns `feat`, the sum of multiplicity * feats[class] of each multiset,
+    and `weight`, its product of 1 / (m! S^m).  `lengths` must be
+    nondecreasing.  Rows are built one pick at a time; `picks` holds the
+    (class, multiplicity) pairs of a row by increasing class, and once
+    padded with -1 its lexicographic order is the pre-order.
+    """
+    L = np.asarray(lengths, dtype=np.int64)
+    S = np.asarray(S, dtype=float)
+    fact = np.array([math.factorial(m) for m in range(max_total + 1)], dtype=float)
+    picks = np.empty((1, 0), dtype=np.int32)
+    feat = np.zeros((1, feats.shape[1]), dtype=feats.dtype)
+    weight = np.ones(1)
+    last, rem = np.array([-1]), np.array([max_total])
+    levels = [(picks, feat, weight)]
+    while True:
+        # children of every row: each later class at each multiplicity that fits
+        parent, item, mult = [], [], []
+        for m in range(1, max_total + 1):
+            lo = last + 1
+            count = np.maximum(np.searchsorted(L, rem // m, side="right") - lo, 0)
+            total = int(count.sum())
+            if total == 0:
+                break
+            rows = np.repeat(np.arange(len(last)), count)
+            parent.append(rows)
+            item.append(lo[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count))
+            mult.append(np.full(total, m, dtype=feats.dtype))
+        if not parent:
+            break
+        parent, item, mult = map(np.concatenate, (parent, item, mult))
+        picks = np.hstack([picks[parent], np.stack([item, mult], axis=1).astype(np.int32)])
+        feat = feat[parent] + mult[:, None] * feats[item]
+        weight = weight[parent] / (fact[mult] * S[item] ** mult)
+        last, rem = item, rem[parent] - mult * L[item]
+        levels.append((picks, feat, weight))
+    width = picks.shape[1]
+    picks = np.vstack([np.pad(p, ((0, 0), (0, width - p.shape[1])), constant_values=-1)
+                       for p, _, _ in levels])
+    order = np.lexsort(picks.T[::-1]) if width else np.arange(len(picks))
+    return (np.vstack([f for _, f, _ in levels])[order],
+            np.concatenate([w for _, _, w in levels])[order])
+
+
+def _first_occurrence_ids(rows: np.ndarray):
+    """Id of each int8 row's value, numbered by first occurrence, and the
+    first row of each id."""
+    n, width = rows.shape
+    packed = np.zeros((n, -(-width // 8) * 8), dtype=np.int8)
+    packed[:, :width] = rows
+    words = packed.view(np.uint64)
+    order = np.lexsort(words.T[::-1])  # stable: equal rows keep their order
+    ranked = words[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[new]
+    by_first = np.empty(len(first), dtype=np.int64)
+    by_first[np.argsort(first)] = np.arange(len(first))
+    of = np.empty(n, dtype=np.int64)
+    of[order] = by_first[np.cumsum(new) - 1]
+    return of, np.sort(first)
+
+
+def _group_fsum(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Correctly rounded sum of the values of each id in range(n)."""
+    order = np.argsort(ids, kind="stable")
+    bounds = np.searchsorted(ids[order], np.arange(n + 1)).tolist()
+    v = values[order].tolist()
+    return np.array([math.fsum(v[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
 def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
                             ) -> HiggsLoopCoefficients:
     """Coefficients c_w >= 0 with D_trunc(g) = sum_w c_w Re hol_w(g).
@@ -965,39 +1095,36 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     Runs the complex scalar expansion on the interior bond graph with the
     Higgs site measure at every interior node, truncated at total traversal
     count `max_len`, and groups multiset contributions by the total winding
-    vector of their loops.
+    vector of their loops.  The potential-free weights prod 1/(m! S^m) are
+    summed per (winding, vertex incidence) and the site coefficients applied
+    once per group.  Keys are ordered by first occurrence in the pre-order
+    of `_multisets`.
     """
-    from .gauge_core import LatticeLoop, winding_vector
-
     if geom.interior_node_count == 0:
         raise DomainError("lattice has no interior nodes")
     if max_len > HIGGS_MAX_LEN:
         raise ResourceError(f"max_len {max_len} exceeds the guard {HIGGS_MAX_LEN}")
     G = interior_bond_graph(geom)
     lam = higgs_site_measure(pot)
-    classes = _enumerate_raw(G, max_len, "C") if G.edges else []
-    cj = [c_coeff(j, lam, "C", 1) for j in range(max_len + 1)]
+    classes = _enumerate_raw(G, max_len, "C")
+    cj = np.array([c_coeff(j, lam, "C", 1) for j in range(max_len + 1)])
 
-    windings = []
-    for c in classes:
-        nodes = [G.edges[c.edges[0]][0]]
-        for e in c.edges:
-            nodes.append(G.edges[e][1])
-        w = winding_vector(LatticeLoop(tuple(nodes), geom.N))
-        windings.append(w.T.reshape(-1))  # geometry row-major plaquette order
-
-    c0_all = cj[0] ** len(G.vertices)
-    coeffs: dict[tuple[int, ...], float] = {}
-    zero_w = np.zeros(geom.n * geom.n, dtype=np.int64)
-    for picked, inc in _multisets([c.length for c in classes],
-                                  [_incidence(G, c) for c in classes], max_len):
-        term = c0_all
-        for v, k in inc.items():
-            term = term / cj[0] * cj[k // 2]
-        wsum = zero_w
-        for (ci, mult) in picked:
-            term = term / math.factorial(mult) / float(classes[ci].S) ** mult
-            wsum = wsum + mult * windings[ci]
-        key = tuple(int(x) for x in wsum)
-        coeffs[key] = coeffs.get(key, 0.0) + term
+    # a class's winding and incidence: the sum of its steps' forms
+    lengths = [c.length for c in classes]
+    steps = np.fromiter((e for c in classes for e in c.edges), dtype=np.int64,
+                        count=sum(lengths))
+    feats = np.add.reduceat(_step_forms(G, geom)[steps],
+                            np.cumsum([0] + lengths, dtype=np.int64)[:-1], axis=0,
+                            dtype=np.int8)
+    feat, weight = _multiset_table(lengths, [c.S for c in classes], feats, max_len)
+    # ids by first occurrence in the pre-order
+    group_of, group_row = _first_occurrence_ids(feat)
+    groups = feat[group_row]
+    n2 = geom.n * geom.n
+    terms = (_group_fsum(weight, group_of, len(group_row))
+             * cj[groups[:, n2:] // 2].prod(axis=1))
+    winding_of, winding_row = _first_occurrence_ids(groups[:, :n2])
+    values = _group_fsum(terms, winding_of, len(winding_row))
+    coeffs = {tuple(w): float(c)
+              for w, c in zip(groups[winding_row, :n2].tolist(), values)}
     return HiggsLoopCoefficients(geom, max_len, coeffs)

@@ -11,6 +11,7 @@ from u1higgs.loop_expansion import (
     ComplexLoopClass,
     MultiGraph,
     OperatorAssignment,
+    PathClass,
     QuadratureSpec,
     RadialMeasure,
     RealLoopClass,
@@ -28,7 +29,15 @@ from u1higgs.loop_expansion import (
     partial_expansion,
     sphere_mass,
 )
-from u1higgs.loop_expansion import _incidence, _multisets
+from u1higgs.loop_expansion import (
+    _enumerate_raw,
+    _incidence,
+    _multisets,
+    _real_orbit,
+    enumerate_path_classes,
+)
+from u1higgs.sampler import PotentialSpec
+from test_acceptance import _corpus_graphs
 
 GAUSS = RadialMeasure.gaussian_type()
 
@@ -154,6 +163,102 @@ def test_restricted_enumeration():
     G = MultiGraph(("x", "y"), (("x", "x"), ("x", "y"), ("y", "x")))
     classes = enumerate_loop_classes(G, 4, "C", restrict_to={"x"})
     assert all(set(G.edges[e]) == {"x"} for c in classes for e in c.edges)
+
+
+def _canonicalising_classes(G, max_len, fieldtag, restrict_to=None):
+    """Oracle: the enumerator before the FKM generator.  Walks every closed
+    walk from every start vertex, canonicalises it (least rotation; for R
+    the least element of the rotation-and-reversal orbit), counts its
+    stabiliser and drops duplicates."""
+    allowed = set(G.vertices if restrict_to is None else restrict_to)
+    out_by_vertex = {v: [] for v in allowed}
+    for e, (a, b) in enumerate(G.edges):
+        if a in allowed and b in allowed:
+            out_by_vertex[a].append((e, 1, b))
+            if fieldtag == "R" and a != b:
+                out_by_vertex[b].append((e, -1, a))
+    classes = {}
+
+    def dfs(start, cur, seq):
+        if seq and cur == start:
+            walk = tuple(seq)
+            if fieldtag == "C":
+                canon = min(walk[r:] + walk[:r] for r in range(len(walk)))
+                S = sum(1 for r in range(len(canon)) if canon[r:] + canon[:r] == canon)
+                classes.setdefault(canon, ComplexLoopClass(canon, S))
+            else:
+                canon = min(_real_orbit(G, walk))
+                S = sum(1 for t in _real_orbit(G, canon) if t == canon)
+                classes.setdefault(canon, RealLoopClass(canon, S))
+        if len(seq) < max_len:
+            for (e, p, nxt) in out_by_vertex[cur]:
+                seq.append(e if fieldtag == "C" else (e, p))
+                dfs(start, nxt, seq)
+                seq.pop()
+
+    for v in sorted(allowed, key=repr):
+        dfs(v, v, [])
+    return sorted(classes.values(), key=lambda c: (c.length, c.edges))
+
+
+@pytest.mark.parametrize("fieldtag", ["C", "R"])
+def test_generated_classes_match_canonicalising_oracle(fieldtag):
+    for G in _corpus_graphs():
+        assert _enumerate_raw(G, 8, fieldtag) == _canonicalising_classes(G, 8, fieldtag)
+        assert (_enumerate_raw(G, 6, fieldtag, restrict_to={"x"})
+                == _canonicalising_classes(G, 6, fieldtag, restrict_to={"x"}))
+
+
+def test_generated_classes_match_oracle_on_interior_bond_graph():
+    G = interior_bond_graph(build_lattice(2))
+    classes = _enumerate_raw(G, 8, "C")
+    assert classes == _canonicalising_classes(G, 8, "C")
+    assert len(classes) == 1294
+
+
+def _path_classes_oracle(G, max_len, fieldtag, inner, endpoints):
+    """Oracle: the path enumerator before it shared the loop generator's
+    move table, with (edge, sign) steps and explicit reversal."""
+    moves = {}
+    for e, (a, b) in enumerate(G.edges):
+        moves.setdefault(a, []).append((e, 1, b))
+        if fieldtag == "R" and a != b:
+            moves.setdefault(b, []).append((e, -1, a))
+    classes = {}
+
+    def edge_of(step):
+        return step if fieldtag == "C" else step[0]
+
+    def dfs(cur, seq):
+        if seq and cur not in inner:
+            return
+        for (e, p, nxt) in moves.get(cur, ()):
+            seq.append(e if fieldtag == "C" else (e, p))
+            if nxt in endpoints and (len(seq) == 1 or not (
+                    G.is_self_loop(e) or G.is_self_loop(edge_of(seq[0])))):
+                key = tuple(seq)
+                if fieldtag == "C":
+                    classes.setdefault(key, PathClass(key, 1))
+                else:
+                    rev = tuple((f, 1 if G.is_self_loop(f) else -q) for (f, q) in reversed(key))
+                    classes.setdefault(min(key, rev), PathClass(min(key, rev),
+                                                                2 if key == rev else 1))
+            if len(seq) < max_len and not (len(seq) == 1 and G.is_self_loop(e)):
+                dfs(nxt, seq)
+            seq.pop()
+
+    for v in sorted(endpoints, key=repr):
+        dfs(v, [])
+    return sorted(classes.values(), key=lambda c: (c.length, c.edges))
+
+
+@pytest.mark.parametrize("fieldtag", ["C", "R"])
+def test_path_classes_match_oracle(fieldtag):
+    for G in _corpus_graphs():
+        for inner in (set(G.vertices), {"x"}, set()):
+            outer = set(G.vertices) - inner
+            assert (enumerate_path_classes(G, 6, fieldtag, inner, outer)
+                    == _path_classes_oracle(G, 6, fieldtag, inner, outer))
 
 
 # ---------------------------------------------------------------- loop_trace
@@ -511,3 +616,48 @@ def test_interior_bond_graph_counts():
     G = interior_bond_graph(geom)
     assert len(G.vertices) == 9
     assert len(G.edges) == 24  # 12 undirected interior bonds, both orientations
+
+
+def _per_multiset_coefficients(geom, pot, max_len):
+    """Oracle: the coefficient build before the array grouping.  One term per
+    multiset of oracle classes in the pre-order of `_multisets`, windings
+    from `winding_vector`, keys in order of first occurrence.  Each key's
+    terms are summed with math.fsum, so that the comparison measures the
+    build's rounding, not the oracle's own summation error (a running sum
+    in pre-order is off the exact sum by up to 7.4e-14 at N=2, L=8)."""
+    from u1higgs.gauge_core import LatticeLoop, winding_vector
+    G = interior_bond_graph(geom)
+    lam = higgs_site_measure(pot)
+    classes = _canonicalising_classes(G, max_len, "C")
+    cj = [c_coeff(j, lam, "C", 1) for j in range(max_len + 1)]
+    windings = []
+    for c in classes:
+        nodes = [G.edges[c.edges[0]][0]] + [G.edges[e][1] for e in c.edges]
+        windings.append(winding_vector(LatticeLoop(tuple(nodes), geom.N)).T.reshape(-1))
+    terms = {}
+    for picked, inc in _multisets([c.length for c in classes],
+                                  [_incidence(G, c) for c in classes], max_len):
+        term = cj[0] ** len(G.vertices)
+        for v, k in inc.items():
+            term = term / cj[0] * cj[k // 2]
+        wsum = np.zeros(geom.n * geom.n, dtype=np.int64)
+        for (ci, mult) in picked:
+            term = term / math.factorial(mult) / float(classes[ci].S) ** mult
+            wsum = wsum + mult * windings[ci]
+        terms.setdefault(tuple(int(x) for x in wsum), []).append(term)
+    return {key: math.fsum(ts) for key, ts in terms.items()}
+
+
+@pytest.mark.parametrize("pot", [PotentialSpec("quartic", c=0.9),
+                                 PotentialSpec("quartic", c=1.0),
+                                 PotentialSpec("quartic", c=1.1),
+                                 lambda x: 0.5 * x ** 6 + x ** 4 - 1.3 * x * x],
+                         ids=["c0.9", "c1.0", "c1.1", "callable"])
+@pytest.mark.parametrize("N", [1, 2])
+def test_higgs_coefficients_match_per_multiset_oracle(N, pot):
+    geom = build_lattice(N)
+    for max_len in (2, 4, 6, 8):
+        got = higgs_loop_coefficients(geom, pot, max_len).coeffs
+        want = _per_multiset_coefficients(geom, pot, max_len)
+        assert list(got) == list(want)  # weight_matrix rows follow this order
+        assert all(abs(got[k] - want[k]) <= 1e-14 * abs(want[k]) for k in want)
