@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .lattice_geom import DomainError, LatticeGeometry, ResourceError
 
@@ -134,6 +133,7 @@ class RadialMeasure:
         elif self.moment_fn is not None:
             out = float(self.moment_fn(j))
         else:
+            from scipy import integrate  # loaded on first use: about 0.2 s
             out, err = integrate.quad(lambda s: self.density(s) * s ** (2 * j),
                                       0.0, np.inf, limit=200,
                                       epsabs=1e-13, epsrel=1e-11)
@@ -158,6 +158,7 @@ class RadialMeasure:
                 return 0.0
             return math.exp(min(math.log(w) + growth * s * s, 700.0))
 
+        from scipy import integrate
         total, _ = integrate.quad(f, 0.0, np.inf, limit=200)
         if not np.isfinite(total) or total >= 1e280:
             raise NumericalError("density integral with growth term diverges")
@@ -173,6 +174,7 @@ class RadialMeasure:
 
 def _tail_radius(f, total: float, tol: float) -> float:
     """First R in 2 * 1.5^k whose tail integral of f is below tol * total."""
+    from scipy import integrate
     R = 2.0
     for _ in range(60):
         tail, _ = integrate.quad(f, R, np.inf, limit=200)
@@ -531,10 +533,6 @@ class ExpansionResult:
                     or total == self.value)
 
 
-def _class_signature(cls, mult: int) -> str:
-    return f"{mult}x{list(cls.edges)}"
-
-
 def _site_coeffs(G: MultiGraph, lam: dict, fieldtag: str, d: int, jmax: int):
     return {v: [c_coeff(j, lam[v], fieldtag, d) for j in range(jmax + 1)]
             for v in G.vertices}
@@ -610,8 +608,12 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     # vertex incidences never exceed 2 * max_total
     coeffs = _site_coeffs(G, lam, fieldtag, d, max_total)
 
+    edge_text = [str(list(c.edges)) for c in classes]
     ledger = []
     value = 0.0 + 0.0j if fieldtag == "C" else 0.0
+    # (signature, total length) of each prefix of `picked`; between yields
+    # only its last entry is new (see `_multisets`)
+    prefix = [("empty", 0)]
     for picked, inc in _multisets([c.length for c in classes],
                                   [_incidence(G, c) for c in classes], max_total):
         if len(ledger) >= multiset_budget:
@@ -619,8 +621,14 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
         term = _site_factor(1.0, coeffs, G.vertices, inc)
         for (ci, mult) in picked:
             term = term * values[ci] ** mult / math.factorial(mult)
-        sig = "|".join(_class_signature(classes[ci], m) for (ci, m) in picked) or "empty"
-        tl = sum(classes[ci].length * m for (ci, m) in picked)
+        if picked:
+            del prefix[len(picked):]
+            ci, mult = picked[-1]
+            sig, tl = prefix[-1]
+            own = f"{mult}x{edge_text[ci]}"
+            prefix.append((f"{sig}|{own}" if len(picked) > 1 else own,
+                           tl + classes[ci].length * mult))
+        sig, tl = prefix[-1]
         ledger.append((sig, tl, term))
         value = value + term
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import rng as rngmod
 from .gauge_core import LatticeLoop, omega, psi, winding_vector, wrap_angle
@@ -199,6 +198,7 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
         passed = p <= bound + SIGMA_POLICY * se
         row = {"x": x, "p": p, "stderr": se, "bound": bound, "pass": passed}
         if mode == "pure":
+            from scipy import stats  # loaded on first use: about 0.5 s
             exact = 2.0 * stats.norm.sf(x / math.sqrt(om))
             row["exact_gaussian"] = exact
             passed = passed and abs(p - exact) <= 4.0 * se + 1e-12

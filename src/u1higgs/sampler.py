@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import rng as rngmod
 from .gauge_core import GaugeField, axial_angles, covariant_precision, psi
@@ -58,6 +57,8 @@ class PotentialSpec:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if self.kind == "custom" and self.func is None:
             raise DomainError("custom potential requires a callable")
+        if not (math.isfinite(self.c) and math.isfinite(self.growth_exponent)):
+            raise DomainError("potential parameters c and growth exponent must be finite")
         if self.growth_exponent < 4:
             raise DomainError("growth exponent must be >= 4")
 
@@ -134,6 +135,8 @@ class WeightEstimate:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NumericalError(f"Higgs weight estimate is not finite: {self.value}")
         if self.value <= 0.0:
             raise DomainError("Higgs weight estimates must be positive")
 
@@ -153,9 +156,12 @@ def _complex_normals(gens, count: int, m: int) -> np.ndarray:
     return z
 
 
-def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec) -> np.ndarray:
+def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec,
+                    ztrtrs) -> np.ndarray:
     """Importance-sampling log-weights, shape (B, n_is), for a batch of
     precisions P (B, m, m) and standard complex normals z (B, n_is, m).
+    `ztrtrs` is scipy.linalg.lapack.ztrtrs, which callers import once per
+    weight model or call: SciPy's linalg takes about 0.5 s to load.
 
     Sample phi = L^-H z ~ CN(0, P^-1) with P = L L^H; its log-weight is
     log D-density minus log proposal density,
@@ -166,7 +172,7 @@ def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec) -> np.ndar
     logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
     r = np.empty(z.shape)
     for b in range(len(L)):
-        phi, info = lapack.ztrtrs(L[b], z[b].T, lower=1, trans=2)
+        phi, info = ztrtrs(L[b], z[b].T, lower=1, trans=2)
         if info:
             raise NumericalError(f"triangular solve failed (info {info})")
         r[b] = np.abs(phi.T)
@@ -198,7 +204,9 @@ def higgs_weight_mc(g: GaugeField, pot: PotentialSpec,
     if n_samples < 2:
         raise DomainError("MC estimator needs at least 2 importance samples")
     P = covariant_precision(g.geom.N, g.theta_h[None], g.theta_v[None])
-    log_w = _mc_log_weights(P, _complex_normals([rng], n_samples, P.shape[-1]), pot)[0]
+    from scipy.linalg.lapack import ztrtrs
+    log_w = _mc_log_weights(P, _complex_normals([rng], n_samples, P.shape[-1]), pot,
+                            ztrtrs)[0]
     top = float(log_w.max())
     s = np.exp(log_w - top)
     ess = float(s.sum() ** 2 / (s ** 2).sum())
@@ -304,8 +312,12 @@ class _WeightModel:
         if method == "loop-expansion":
             self._coeffs = higgs_loop_coefficients(geom, pot, max_len)
             self._wmat, self._cvec = self._coeffs.weight_matrix()
-        elif method == "quadrature" and geom.N != 1:
-            raise DomainError("quadrature weight model requires N = 1")
+        elif method == "quadrature":
+            if geom.N != 1:
+                raise DomainError("quadrature weight model requires N = 1")
+        elif method != "constant":
+            from scipy.linalg.lapack import ztrtrs
+            self._ztrtrs = ztrtrs
 
     def log_weight(self, X: np.ndarray, gens) -> np.ndarray:
         """log D-hat for X of shape (..., n, n).  Monte Carlo takes a batch
@@ -316,14 +328,18 @@ class _WeightModel:
         if self.method == "loop-expansion":
             flat = X.swapaxes(-1, -2).reshape(*X.shape[:-2], -1)
             vals = np.cos(flat @ self._wmat.T) @ self._cvec
-            if np.any(vals <= 0.0):
+            if not vals.min() > 0.0:  # also catches nan
                 raise NumericalError("truncated loop expansion of the Higgs weight "
                                      "is not positive")
             return np.log(vals)
         P = covariant_precision(self.geom.N, *axial_angles(X))
-        log_w = _mc_log_weights(P, _complex_normals(gens, self.n_is, P.shape[-1]), self.pot)
+        log_w = _mc_log_weights(P, _complex_normals(gens, self.n_is, P.shape[-1]), self.pot,
+                                self._ztrtrs)
         top = log_w.max(axis=1)
-        return top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
+        out = top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
+        if np.isnan(out).any():
+            raise NumericalError("Monte Carlo log-weight of the Higgs weight is nan")
+        return out
 
 
 BLOCK_STEPS = 64  # chain steps drawn from one Philox stream per chain

@@ -58,6 +58,15 @@ def test_sample_interacting_manifest(tmp_path):
     assert "proposal_std" in manifest["config"]
 
 
+def test_sample_interacting_refuses_nan_potential(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert run(["sample", "interacting", "--N", "2", "--samples", "20",
+                "--seed", "3", "--method", "monte-carlo", "--potential-c", "nan",
+                "--out", out]) != 0
+    assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "samples.csv"))
+
+
 def test_gaugefix_and_norms(tmp_path):
     out = str(tmp_path / "s")
     assert run(["sample", "pure", "--N", "4", "--samples", "1",

@@ -1,0 +1,32 @@
+"""Cold start: importing the package and running the SciPy-free CLI paths
+must not load SciPy's stats, integrate or linalg (together about 1.2 s and
+65 MB).  The routines that need them import them where they are called."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.linalg")
+
+PROBE = """
+import contextlib, io, sys
+import u1higgs
+import u1higgs.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["lattice", "--N", "2", "--out", sys.argv[1]])
+assert code == 0, code
+print(",".join(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def test_import_and_lattice_cli_do_not_load_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(heavy=HEAVY), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"loaded at cold start: {proc.stdout.strip()}"

@@ -460,6 +460,22 @@ def test_multiset_engine_matches_itertools(fieldtag, edges, max_total):
         sum(lengths[ci] * m for (ci, m) in picks) for picks in sorted(expected)]
 
 
+@pytest.mark.parametrize("fieldtag", ["C", "R"])
+def test_ledger_text_matches_per_entry_formatting(fieldtag):
+    # the ledger carries each prefix's signature and total length; pin it
+    # against formatting every multiset entry afresh, on criterion 5's corpus
+    for G in _corpus_graphs():
+        M = OperatorAssignment.scalars(G, [0.01] * G.n_edges, fieldtag)
+        ledger = expansion_value(G, M, {v: GAUSS for v in G.vertices}, 6).ledger
+        classes = _enumerate_raw(G, 6, fieldtag)
+        expected = [
+            ("|".join(f"{m}x{list(classes[ci].edges)}" for (ci, m) in picked) or "empty",
+             sum(classes[ci].length * m for (ci, m) in picked))
+            for picked, _ in _multisets([c.length for c in classes],
+                                        [_incidence(G, c) for c in classes], 6)]
+        assert [t[:2] for t in ledger] == expected
+
+
 def test_expansion_two_vertex_oracle():
     G = MultiGraph(("x", "y"), (("x", "y"), ("y", "x")))
     M = OperatorAssignment.scalars(G, [0.3, 0.25], "C")

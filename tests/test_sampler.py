@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
+from scipy.linalg.lapack import ztrtrs
 
 from u1higgs import rng as rng_module
 from u1higgs import sampler as sampler_module
@@ -70,6 +71,16 @@ def test_potential_guards():
         PotentialSpec("custom")
     with pytest.raises(DomainError):
         PotentialSpec("quartic", growth_exponent=2.0)
+
+
+@pytest.mark.parametrize("kw", [{"c": math.nan}, {"c": math.inf}, {"c": -math.inf},
+                                {"growth_exponent": math.nan},
+                                {"growth_exponent": math.inf}])
+def test_potential_refuses_nonfinite_parameters(kw):
+    # a nan c made every log-weight nan, and `log_u < nan` silently
+    # rejected every proposal
+    with pytest.raises(DomainError, match="finite"):
+        PotentialSpec("quartic", **kw)
 
 
 # ---------------------------------------------------------------- pure gauge
@@ -228,7 +239,7 @@ def test_batched_precision_and_log_weight_match_single_field(N):
     log_d = model.log_weight(X, [stream(50, b) for b in range(B)])
     for b in range(B):
         z = _complex_normals([stream(50, b)], n_is, P.shape[-1])
-        log_w = _mc_log_weights(P[b:b + 1], z, QUARTIC)[0]
+        log_w = _mc_log_weights(P[b:b + 1], z, QUARTIC, ztrtrs)[0]
         expected = special.logsumexp(log_w) - math.log(n_is)
         assert log_d[b] == pytest.approx(expected, rel=1e-12, abs=1e-12)
         est = higgs_weight_mc(psi(geom, X[b]), QUARTIC, stream(50, b), n_is)
@@ -256,6 +267,33 @@ def test_weight_dispatch_and_positivity():
 def test_weight_estimate_rejects_nonpositive():
     with pytest.raises(DomainError):
         WeightEstimate(0.0, 0.0, "quadrature")
+    with pytest.raises(DomainError):
+        WeightEstimate(-1.0, 0.0, "quadrature")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_weight_estimate_rejects_nonfinite(value):
+    with pytest.raises(NumericalError, match="not finite"):
+        WeightEstimate(value, 0.0, "monte-carlo")
+
+
+def test_mc_chain_refuses_nan_log_weight():
+    # a custom potential may still return nan: the chain must stop, not
+    # reject every proposal
+    pot = PotentialSpec("custom", func=lambda x: math.nan)
+    cfg = ChainConfig(samples=5, burn_in=5, thin=1, n_chains=2, seed=1, n_is=8)
+    with pytest.raises(NumericalError, match="nan"):
+        sample_interacting(build_lattice(2), pot, cfg, method="monte-carlo")
+
+
+def test_loop_chain_refuses_nan_log_weight():
+    geom = build_lattice(2)
+    model = _WeightModel(geom, QUARTIC, "loop-expansion", max_len=4)
+    X = sample_pure_angles(geom, stream(8), count=3)
+    assert np.isfinite(model.log_weight(X, None)).all()
+    model._cvec = model._cvec * math.nan
+    with pytest.raises(NumericalError, match="not positive"):
+        model.log_weight(X, None)
 
 
 # ---------------------------------------------------------------- chains
