@@ -41,7 +41,13 @@ from .loop_expansion import (
 from .mc_verify import EXPERIMENTS
 from .norms import log_oneform, norm_report
 from .rng import stream
-from .sampler import ChainConfig, PotentialSpec, sample_interacting, sample_pure_angles
+from .sampler import (
+    WEIGHT_METHODS,
+    ChainConfig,
+    PotentialSpec,
+    sample_interacting,
+    sample_pure_angles,
+)
 
 USAGE_ERROR, VERDICT_FAIL, NUMERICAL_ERROR = 2, 1, 3
 
@@ -281,16 +287,9 @@ def cmd_verify(args):
     if args.config:
         with open(args.config) as f:
             kwargs.update(json.load(f))
-    if args.N is not None:
-        kwargs["N"] = args.N
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.eta is not None:
-        kwargs["eta"] = args.eta
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
+    for key in ("N", "seed", "samples", "eta", "mode"):
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
     if "N_list" in kwargs:
         kwargs["N_list"] = tuple(kwargs["N_list"])
     accepted = inspect.signature(EXPERIMENTS[args.experiment]).parameters
@@ -331,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--N", type=int, required=True)
     q.add_argument("--samples", type=int, required=True)
     q.add_argument("--seed", type=int)
-    q.add_argument("--method", default="loop-expansion",
-                   choices=["monte-carlo", "loop-expansion", "quadrature",
-                            "constant"])
+    q.add_argument("--method", default="loop-expansion", choices=list(WEIGHT_METHODS))
     q.add_argument("--potential-c", type=float, default=1.0)
     q.add_argument("--burn-in", type=int, default=1000)
     q.add_argument("--thin", type=int, default=4)

@@ -105,11 +105,18 @@ def _pure_loop_sums(geom, w, samples, seed, batch=20_000, wrapped=False):
     return out, wraps
 
 
-def _interacting_loop_sums(geom, w, samples, seed, pot, method, **chain_kw):
-    cfg = ChainConfig(samples=samples, seed=seed, **chain_kw)
+def _check_mode(mode):
+    if mode not in ("pure", "interacting"):
+        raise DomainError(f"unknown mode {mode!r}")
+
+
+def _interacting_loop_sums(geom, w, samples, seed, pot, method, chain_kw, wrapped=False):
+    cfg = ChainConfig(samples=samples, seed=seed,
+                      **(chain_kw or {"burn_in": 1000, "thin": 4, "n_chains": 4}))
     res = sample_interacting(geom, pot, cfg, method=method)
     X = res.flat()
-    sums = (X * w[None, :, :]).sum(axis=(1, 2))
+    Y = wrap_angle(X) if wrapped else X
+    sums = (Y * w[None, :, :]).sum(axis=(1, 2))
     wraps = int((np.abs(X) >= np.pi).any(axis=(1, 2)).sum())
     return sums, wraps, res
 
@@ -121,6 +128,7 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
     """Pure gauge: E e^{eta B^2} equals (1 - 2 eta omega)^(-1/2) (two-sided).
     Interacting: E e^{eta A^2} is bounded by the same closed form (one-sided).
     """
+    _check_mode(mode)
     geom = build_lattice(N)
     if loop is None:
         loop = half_square_loop(geom)
@@ -137,16 +145,15 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
         est, se = float(vals.mean()), batch_means_stderr(vals)
         verdict = "pass" if abs(est - reference) <= SIGMA_POLICY * se else "fail"
         extras["wrap_events"] = wraps
-    elif mode == "interacting":
+    else:
         gate = verify_mgf(N, loop, eta, max(2000, samples // 10), "pure",
                           rngmod.spawn_seed(seed, 1))
         extras["gate"] = gate.verdict
         if gate.verdict == "fail":
             return ExperimentResult("mgf", params, math.nan, math.nan, reference,
                                     "fail", 0, seed, {"gate": "fail"})
-        chain_kw = chain_kw or {"burn_in": 1000, "thin": 4, "n_chains": 4}
         sums, wraps, res = _interacting_loop_sums(geom, w, samples, seed, pot,
-                                                  method, **chain_kw)
+                                                  method, chain_kw)
         vals = np.exp(eta * sums ** 2)
         est = float(vals.mean())
         se = batch_means_stderr(vals) * math.sqrt(max(res.iat, 1.0))
@@ -155,8 +162,6 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
                        "acceptance": res.acceptance.tolist(),
                        "proposal_std": res.proposal_std})
         samples = len(sums)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
     return ExperimentResult("mgf", params, est, se, reference, verdict,
                             samples, seed, extras)
 
@@ -170,6 +175,7 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
     """P[|A| >= x] <= sqrt(2) e^{-x^2/(4 omega)} at every grid point
     (one-sided with binomial buffer); the pure mode also cross-checks the
     exact Gaussian tail."""
+    _check_mode(mode)
     geom = build_lattice(N)
     if loop is None:
         loop = half_square_loop(geom)
@@ -185,9 +191,8 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
             return ExperimentResult("tail", {"N": N, "omega": om, "mode": mode},
                                     math.nan, math.nan, None, "fail", 0, seed,
                                     {"gate": "fail"})
-        chain_kw = chain_kw or {"burn_in": 1000, "thin": 4, "n_chains": 4}
         sums, wraps, res = _interacting_loop_sums(geom, w, samples, seed, pot,
-                                                  method, **chain_kw)
+                                                  method, chain_kw)
         extras = {"wrap_events": wraps, "iat": res.iat, "gate": "pass"}
     rows = []
     ok = True
@@ -221,6 +226,7 @@ def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
     """E |sum_p l(p) log g(dp)|^q against the bound shape (C q sqrt(omega))^q
     with the calibration constant; the q = 2 pure value also checks omega.
     Growth in q is reported as a diagnostic."""
+    _check_mode(mode)
     geom = build_lattice(N)
     if loop is None:
         loop = half_square_loop(geom)
@@ -238,13 +244,9 @@ def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
                                     {"N": N, "omega": om, "mode": mode},
                                     math.nan, math.nan, None, "fail", 0, seed,
                                     {"gate": "fail"})
-        chain_kw = chain_kw or {"burn_in": 1000, "thin": 4, "n_chains": 4}
-        cfg = ChainConfig(samples=samples, seed=seed, **chain_kw)
-        res = sample_interacting(geom, pot, cfg, method=method)
-        X = res.flat()
-        wraps = int((np.abs(X) >= np.pi).any(axis=(1, 2)).sum())
         # log g(dp) is the wrapped plaquette angle
-        sums = (wrap_angle(X) * w[None, :, :]).sum(axis=(1, 2))
+        sums, wraps, res = _interacting_loop_sums(geom, w, samples, seed, pot,
+                                                  method, chain_kw, wrapped=True)
         extras = {"wrap_events": wraps, "iat": res.iat}
     rows = []
     ok = True
@@ -312,6 +314,7 @@ def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 5,
                             method: str = "loop-expansion") -> ExperimentResult:
     """E[[g]_alpha^{2q}] across N; informational boundedness diagnostic
     (flagged when max over N exceeds twice the min)."""
+    _check_mode(mode)
     if not (0 <= alpha < 1 and q > 2.0 / (1.0 - alpha)):
         raise DomainError("need alpha in [0,1) and q > 2/(1-alpha)")
     per_n = {}
@@ -351,6 +354,7 @@ def verify_uv_stability(N_list=(2, 3, 4, 5), beta: float = 0.5, q: float = 2.0,
     """E[ |log g^u|_beta^q ] across N for gauge-fixed fields; verdict is the
     property-based boundedness check max/min <= ratio_bound.  The fallback
     frequency (theorem scale m exceeding N) is monitored per N."""
+    _check_mode(mode)
     if not (0.0 < beta < 1.0):
         raise DomainError("beta must be in (0, 1)")
     per_n = {}

@@ -23,7 +23,6 @@ from . import rng as rngmod
 from .gauge_core import GaugeField, axial_angles, covariant_precision, psi
 from .lattice_geom import DomainError, LatticeGeometry
 from .loop_expansion import (
-    HiggsLoopCoefficients,
     NumericalError,
     c_coeff,
     higgs_loop_coefficients,
@@ -160,8 +159,8 @@ def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec,
                     ztrtrs) -> np.ndarray:
     """Importance-sampling log-weights, shape (B, n_is), for a batch of
     precisions P (B, m, m) and standard complex normals z (B, n_is, m).
-    `ztrtrs` is scipy.linalg.lapack.ztrtrs, which callers import once per
-    weight model or call: SciPy's linalg takes about 0.5 s to load.
+    `ztrtrs` is scipy.linalg.lapack.ztrtrs, which the Monte Carlo weight
+    model imports once: SciPy's linalg takes about 0.5 s to load.
 
     Sample phi = L^-H z ~ CN(0, P^-1) with P = L L^H; its log-weight is
     log D-density minus log proposal density,
@@ -181,13 +180,91 @@ def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec,
     return m * math.log(TWO_PI) - logdet[:, None] + (r2 - V).sum(axis=-1)
 
 
+# method name -> largest N it accepts (quadrature is exact only at N = 1)
+WEIGHT_METHODS = {"monte-carlo": MC_MAX_SCALE, "loop-expansion": LOOP_MAX_SCALE,
+                  "quadrature": 1, "constant": math.inf}
+
+
+class _WeightModel:
+    """The Higgs weight by one of WEIGHT_METHODS: the chain's log D-hat of a
+    batch (`log_weight`) and the single-field estimate (`estimate`).  An unknown
+    method, or an N above its limit, is refused before any work."""
+
+    def __init__(self, geom, pot, method, max_len=8, n_is=64):
+        if method not in WEIGHT_METHODS:
+            raise DomainError(f"unknown Higgs weight method {method!r}")
+        if geom.N > WEIGHT_METHODS[method]:
+            raise DomainError(f"{method} Higgs weight limited to N <= {WEIGHT_METHODS[method]}")
+        self.geom, self.pot, self.method = geom, pot, method
+        self.max_len, self.n_is = max_len, n_is
+        if method == "loop-expansion":
+            self._wmat, self._cvec = higgs_loop_coefficients(geom, pot, max_len).weight_matrix()
+        elif method == "monte-carlo":
+            from scipy.linalg.lapack import ztrtrs
+            self._ztrtrs = ztrtrs
+
+    def _mc_log_w(self, theta_h, theta_v, gens) -> np.ndarray:
+        """(B, n_is) importance log-weights of B fields, row b drawn from gens[b]."""
+        P = covariant_precision(self.geom.N, theta_h, theta_v)
+        return _mc_log_weights(P, _complex_normals(gens, self.n_is, P.shape[-1]), self.pot,
+                               self._ztrtrs)
+
+    def log_weight(self, X: np.ndarray, gens) -> np.ndarray:
+        """log D-hat for X of shape (..., n, n).  Monte Carlo takes a batch
+        (B, n, n) and draws the importance normals of row b from gens[b];
+        the other methods are deterministic and ignore `gens`."""
+        if self.method in ("constant", "quadrature"):
+            return np.zeros(X.shape[:-2])  # quadrature: independent of g at N = 1
+        if self.method == "loop-expansion":
+            flat = X.swapaxes(-1, -2).reshape(*X.shape[:-2], -1)
+            vals = np.cos(flat @ self._wmat.T) @ self._cvec
+            if not vals.min() > 0.0:  # also catches nan
+                raise NumericalError("truncated loop expansion of the Higgs weight "
+                                     "is not positive")
+            return np.log(vals)
+        log_w = self._mc_log_w(*axial_angles(X), gens)
+        top = log_w.max(axis=1)
+        out = top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
+        if np.isnan(out).any():
+            raise NumericalError("Monte Carlo log-weight of the Higgs weight is nan")
+        return out
+
+    def estimate(self, g: GaugeField, rng: np.random.Generator | None = None
+                 ) -> WeightEstimate:
+        """D(g) with its error.  Only this builds the coarse loop coefficients
+        of the error proxy and the quadrature value: a chain's model needs neither."""
+        if self.method == "constant":
+            raise DomainError("the constant weight is a chain debug mode, not an estimator")
+        if self.method == "quadrature":
+            value = c_coeff(0, higgs_site_measure(self.pot), "C", 1)  # 2 pi * moment(0)
+            return WeightEstimate(value, 0.0, "quadrature")
+        if self.method == "loop-expansion":
+            value = float(self._cvec @ np.cos(self._wmat @ g.plaquette_angles().T.reshape(-1)))
+            coarse = higgs_loop_coefficients(self.geom, self.pot, max(0, self.max_len - 2))
+            return WeightEstimate(value, abs(value - coarse.evaluate(g)), "loop-expansion")
+        n = self.n_is
+        if n < 2:
+            raise DomainError("MC estimator needs at least 2 importance samples")
+        log_w = self._mc_log_w(g.theta_h[None], g.theta_v[None], [rng])[0]
+        top = float(log_w.max())
+        s = np.exp(log_w - top)
+        ess = float(s.sum() ** 2 / (s ** 2).sum())
+        if not 2.0 * top < _LOG_FLOAT_MAX:
+            raise NumericalError(
+                f"importance weights overflow at N={self.geom.N}: max log-weight {top:.4g}, "
+                f"log D-hat {top + math.log(s.mean()):.4g}, ESS {ess:.3g} of {n}")
+        scale = math.exp(top)
+        value = scale * float(s.mean())
+        stderr = scale * float(s.std(ddof=1)) / math.sqrt(n)
+        warnings = ()
+        if ess < ESS_WARN_FRACTION * n:
+            warnings = (f"low effective sample size: {ess:.1f} of {n}",)
+        return WeightEstimate(value, stderr, "monte-carlo", ess, warnings)
+
+
 def higgs_weight_quadrature(g: GaugeField, pot: PotentialSpec) -> WeightEstimate:
     """Exact value at N = 1: the single interior site decouples from g."""
-    if g.geom.N != 1:
-        raise DomainError("quadrature estimator requires N = 1")
-    lam = higgs_site_measure(pot)
-    value = c_coeff(0, lam, "C", 1)  # 2 pi * moment(0)
-    return WeightEstimate(value, 0.0, "quadrature")
+    return _WeightModel(g.geom, pot, "quadrature").estimate(g)
 
 
 def higgs_weight_mc(g: GaugeField, pot: PotentialSpec,
@@ -195,61 +272,23 @@ def higgs_weight_mc(g: GaugeField, pot: PotentialSpec,
                     ) -> WeightEstimate:
     """Importance sampling from the complex Gaussian with precision
     I - 2^-2N Lap_g, which dominates the quadratic part of the target.
-
-    Value, stderr and ESS come from the log-weights shifted by their
-    maximum; the weights w themselves are never formed.  Raises
-    `NumericalError` when the squares w^2 would leave the float range."""
-    if g.geom.N > MC_MAX_SCALE:
-        raise DomainError(f"MC estimator limited to N <= {MC_MAX_SCALE}")
-    if n_samples < 2:
-        raise DomainError("MC estimator needs at least 2 importance samples")
-    P = covariant_precision(g.geom.N, g.theta_h[None], g.theta_v[None])
-    from scipy.linalg.lapack import ztrtrs
-    log_w = _mc_log_weights(P, _complex_normals([rng], n_samples, P.shape[-1]), pot,
-                            ztrtrs)[0]
-    top = float(log_w.max())
-    s = np.exp(log_w - top)
-    ess = float(s.sum() ** 2 / (s ** 2).sum())
-    if not 2.0 * top < _LOG_FLOAT_MAX:
-        raise NumericalError(
-            f"importance weights overflow at N={g.geom.N}: max log-weight {top:.4g}, "
-            f"log D-hat {top + math.log(s.mean()):.4g}, ESS {ess:.3g} of {n_samples}")
-    scale = math.exp(top)
-    value = scale * float(s.mean())
-    stderr = scale * float(s.std(ddof=1)) / math.sqrt(n_samples)
-    warnings = ()
-    if ess < ESS_WARN_FRACTION * n_samples:
-        warnings = (f"low effective sample size: {ess:.1f} of {n_samples}",)
-    return WeightEstimate(value, stderr, "monte-carlo", ess, warnings)
+    Value, stderr and ESS come from the log-weights shifted by their maximum;
+    `NumericalError` is raised where the squared weights would overflow."""
+    return _WeightModel(g.geom, pot, "monte-carlo", n_is=n_samples).estimate(g, rng)
 
 
-def higgs_weight_loop(g: GaugeField, pot: PotentialSpec, max_len: int = 8,
-                      coeffs: HiggsLoopCoefficients | None = None,
-                      coarse: HiggsLoopCoefficients | None = None) -> WeightEstimate:
+def higgs_weight_loop(g: GaugeField, pot: PotentialSpec, max_len: int = 8) -> WeightEstimate:
     """Truncated positive-type expansion; the error proxy is the difference
     against the expansion truncated two orders lower."""
-    if g.geom.N > LOOP_MAX_SCALE:
-        raise DomainError(f"loop-expansion estimator limited to N <= {LOOP_MAX_SCALE}")
-    if coeffs is None:
-        coeffs = higgs_loop_coefficients(g.geom, pot, max_len)
-    if coarse is None:
-        coarse = higgs_loop_coefficients(g.geom, pot, max(0, max_len - 2))
-    value = coeffs.evaluate(g)
-    err = abs(value - coarse.evaluate(g))
-    return WeightEstimate(value, err, "loop-expansion")
+    return _WeightModel(g.geom, pot, "loop-expansion", max_len).estimate(g)
 
 
 def higgs_weight(g: GaugeField, pot: PotentialSpec, method: str = "monte-carlo",
-                 rng: np.random.Generator | None = None, **kw) -> WeightEstimate:
-    if method == "quadrature":
-        return higgs_weight_quadrature(g, pot)
-    if method == "monte-carlo":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return higgs_weight_mc(g, pot, rng, **kw)
-    if method == "loop-expansion":
-        return higgs_weight_loop(g, pot, **kw)
-    raise DomainError(f"unknown Higgs weight method {method!r}")
+                 rng: np.random.Generator | None = None, max_len: int = 8,
+                 n_samples: int = 4096) -> WeightEstimate:
+    """D(g) by any method but "constant"; Monte Carlo draws from `rng` (default seed 0)."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _WeightModel(g.geom, pot, method, max_len, n_samples).estimate(g, rng)
 
 
 # --------------------------------------------------------------------------
@@ -302,44 +341,6 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
         if window >= c * tau:
             break
     return float(max(tau, 1.0))
-
-
-class _WeightModel:
-    """log D-hat of a batch of plaquette-angle arrays for the Metropolis chain."""
-
-    def __init__(self, geom, pot, method, max_len=8, n_is=64):
-        self.geom, self.pot, self.method, self.n_is = geom, pot, method, n_is
-        if method == "loop-expansion":
-            self._coeffs = higgs_loop_coefficients(geom, pot, max_len)
-            self._wmat, self._cvec = self._coeffs.weight_matrix()
-        elif method == "quadrature":
-            if geom.N != 1:
-                raise DomainError("quadrature weight model requires N = 1")
-        elif method != "constant":
-            from scipy.linalg.lapack import ztrtrs
-            self._ztrtrs = ztrtrs
-
-    def log_weight(self, X: np.ndarray, gens) -> np.ndarray:
-        """log D-hat for X of shape (..., n, n).  Monte Carlo takes a batch
-        (B, n, n) and draws the importance normals of row b from gens[b];
-        the other methods are deterministic and ignore `gens`."""
-        if self.method in ("constant", "quadrature"):
-            return np.zeros(X.shape[:-2])  # quadrature: independent of g at N = 1
-        if self.method == "loop-expansion":
-            flat = X.swapaxes(-1, -2).reshape(*X.shape[:-2], -1)
-            vals = np.cos(flat @ self._wmat.T) @ self._cvec
-            if not vals.min() > 0.0:  # also catches nan
-                raise NumericalError("truncated loop expansion of the Higgs weight "
-                                     "is not positive")
-            return np.log(vals)
-        P = covariant_precision(self.geom.N, *axial_angles(X))
-        log_w = _mc_log_weights(P, _complex_normals(gens, self.n_is, P.shape[-1]), self.pot,
-                                self._ztrtrs)
-        top = log_w.max(axis=1)
-        out = top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
-        if np.isnan(out).any():
-            raise NumericalError("Monte Carlo log-weight of the Higgs weight is nan")
-        return out
 
 
 BLOCK_STEPS = 64  # chain steps drawn from one Philox stream per chain
@@ -421,10 +422,6 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
     model serves the tuning pre-run and every chain; all chains step
     together as one batch (see `_run_chains`).
     """
-    if method == "monte-carlo" and geom.N > MC_MAX_SCALE:
-        raise DomainError(f"default estimator chain limited to N <= {MC_MAX_SCALE}")
-    if method == "loop-expansion" and geom.N > LOOP_MAX_SCALE:
-        raise DomainError("precomputed-coefficient mode limited to N <= 2")
     model = _WeightModel(geom, pot, method, max_len=max_len, n_is=cfg.n_is)
     sigma = tune_proposal(cfg, model)
     kept, acc, stat = _run_chains(cfg, model, sigma)

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from u1higgs import mc_verify
 from u1higgs.cli import run
 from u1higgs.gauge_core import load_gauge_field
+from u1higgs.lattice_geom import DomainError
 
 
 def read(path):
@@ -116,6 +118,25 @@ def test_verify_cli_pass_and_exit_codes(tmp_path):
 
 def test_verify_unknown_experiment(tmp_path):
     assert run(["verify", "nonsense", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("experiment", ["mgf", "tail", "plaquette-moments",
+                                        "flatness-moments", "uv-stability"])
+def test_verify_unknown_mode_refused_before_any_work(experiment, tmp_path, monkeypatch):
+    # every mode but "pure" used to run the interacting chain and report it
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an unknown mode")
+
+    monkeypatch.setattr(mc_verify, "sample_pure_angles", no_work)
+    monkeypatch.setattr(mc_verify, "sample_interacting", no_work)
+    scale = [] if experiment in ("flatness-moments", "uv-stability") else ["--N", "2"]
+    with pytest.raises(DomainError, match="unknown mode 'Interacting'"):
+        mc_verify.EXPERIMENTS[experiment](mode="Interacting", samples=50,
+                                          **({"N": 2} if scale else {}))
+    out = str(tmp_path / "o")
+    assert run(["verify", experiment, "--mode", "Interacting", "--samples", "50",
+                *scale, "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
 def test_verify_config_file(tmp_path):

@@ -264,6 +264,58 @@ def test_weight_dispatch_and_positivity():
         higgs_weight(g, QUARTIC, "nonsense")
 
 
+def test_unknown_weight_method_refused_before_any_stream(monkeypatch):
+    # the chain used to run an unknown method as Monte Carlo
+    opened = []
+
+    def recording_stream(seed, *indices, tag=""):
+        opened.append((seed, indices, tag))
+        return stream(seed, *indices, tag=tag)
+
+    monkeypatch.setattr(rng_module, "stream", recording_stream)
+    geom = build_lattice(2)
+    cfg = ChainConfig(samples=5, burn_in=5, thin=1, n_chains=2, seed=1, n_is=8)
+    with pytest.raises(DomainError, match="unknown Higgs weight method"):
+        sample_interacting(geom, QUARTIC, cfg, method="nonsense")
+    with pytest.raises(DomainError, match="unknown Higgs weight method"):
+        _WeightModel(geom, QUARTIC, "nonsense")
+    assert opened == []
+
+
+@pytest.mark.parametrize("method, N", [("monte-carlo", 4), ("loop-expansion", 3),
+                                       ("quadrature", 2)])
+def test_chain_and_single_field_refuse_the_same_scale(method, N, monkeypatch):
+    # one scale guard serves the chain, the dispatcher and the named estimator
+    geom = build_lattice(N)
+    g = psi(geom, sample_pure_angles(geom, stream(5)))
+    gen = stream(6)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the method's scale limit")
+
+    for name in ("covariant_precision", "_complex_normals", "higgs_loop_coefficients",
+                 "higgs_site_measure"):
+        monkeypatch.setattr(sampler_module, name, no_work)
+    monkeypatch.setattr(rng_module, "stream", no_work)
+    single = {"monte-carlo": lambda: higgs_weight_mc(g, QUARTIC, gen, 256),
+              "loop-expansion": lambda: higgs_weight_loop(g, QUARTIC),
+              "quadrature": lambda: higgs_weight_quadrature(g, QUARTIC)}[method]
+    cfg = ChainConfig(samples=5, burn_in=1, thin=1, n_chains=1, seed=1)
+    messages = set()
+    for call in (lambda: sample_interacting(geom, QUARTIC, cfg, method=method),
+                 lambda: higgs_weight(g, QUARTIC, method, rng=gen), single):
+        with pytest.raises(DomainError, match=f"N <= {N - 1}") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    assert gen.random() == stream(6).random()  # no draw was taken
+
+
+def test_constant_weight_is_no_single_field_estimate():
+    with pytest.raises(DomainError, match="constant"):
+        higgs_weight(GaugeField.identity(build_lattice(1)), QUARTIC, "constant")
+
+
 def test_weight_estimate_rejects_nonpositive():
     with pytest.raises(DomainError):
         WeightEstimate(0.0, 0.0, "quadrature")
