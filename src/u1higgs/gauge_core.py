@@ -383,13 +383,15 @@ def to_axial(g: GaugeField) -> tuple[GaugeTransform, GaugeField]:
 
 
 def is_axial(g: GaugeField, tol: float = 1e-12) -> bool:
+    """Test oracle: whether every tree bond of `to_axial` is within tol of 0."""
     return bool(np.all(np.abs(g.theta_h) <= tol)
                 and np.all(np.abs(g.theta_v[0, :]) <= tol))
 
 
 def random_closed_loop(geom: LatticeGeometry, rng: np.random.Generator,
                        walk_len: int = 20, interior: bool = False) -> LatticeLoop:
-    """Closed random walk bridged back to its start by an L-shaped return.
+    """Test oracle input: a closed random walk bridged back to its start by an
+    L-shaped return, on which tests check the holonomy and winding identities.
 
     The walk stays inside the lattice (inside the interior if requested);
     the return path goes along x first, then along y.

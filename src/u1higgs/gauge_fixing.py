@@ -73,7 +73,7 @@ def flatness_sweep(g: GaugeField):
 
 
 def rect_plaquette_log_sum(g: GaugeField, r: Rect) -> float:
-    """sum_{p in r} log g(dp) (no outer wrap)."""
+    """Test oracle: sum_{p in r} log g(dp), unwrapped; checks `flatness`'s argmax."""
     P = g.plaquette_angles()
     return float(P[r.x0:r.x0 + r.w, r.y0:r.y0 + r.h].sum())
 

@@ -185,7 +185,7 @@ def _tail_radius(f, total: float, tol: float) -> float:
 
 
 def check_log_convex_moments(lam: RadialMeasure, jmax: int = 10, tol: float = 1e-9) -> bool:
-    """moment(j)^2 <= moment(j-1) moment(j+1) (Cauchy-Schwarz in L^2(lambda))."""
+    """Test oracle: log-convex moments, moment(j)^2 <= moment(j-1) moment(j+1)."""
     m = [lam.moment(j) for j in range(jmax + 2)]
     return all(m[j] ** 2 <= m[j - 1] * m[j + 1] * (1 + tol) + 1e-300
                for j in range(1, jmax + 1))
@@ -528,74 +528,93 @@ class ExpansionResult:
     tail_majorant: float
 
     def check_ledger(self) -> bool:
-        total = sum(t[2] for t in self.ledger)
-        return bool(np.isclose(total, self.value, rtol=0, atol=0)
-                    or total == self.value)
+        return sum(t[2] for t in self.ledger) == self.value
 
 
-def _site_coeffs(G: MultiGraph, lam: dict, fieldtag: str, d: int, jmax: int):
-    return {v: [c_coeff(j, lam[v], fieldtag, d) for j in range(jmax + 1)]
-            for v in G.vertices}
+def _site_coeffs(sites, lam: dict, fieldtag: str, d: int, jmax: int) -> list:
+    """C_0 .. C_jmax of each site, in order."""
+    return [[c_coeff(j, lam[v], fieldtag, d) for j in range(jmax + 1)] for v in sites]
 
 
-def _multisets(lengths, incidences, max_total):
-    """Every multiset of items with total length <= max_total, depth first
-    in pre-order: the empty multiset, then for each item (by index) each
-    multiplicity followed by the multisets over the later items.
+def _incidence_rows(G: MultiGraph, classes, sites) -> np.ndarray:
+    """(classes, sites) int16 count of each class's edge ends at each site."""
+    rows = np.zeros((len(classes), len(sites)), dtype=np.int16)
+    for r, c in enumerate(classes):
+        inc = _incidence(G, c)
+        rows[r] = [inc.get(v, 0) for v in sites]
+    return rows
 
-    `lengths` must be nondecreasing.  Yields (picked, inc): `picked` lists
-    (item index, multiplicity) by increasing index, `inc` maps each vertex
-    to its summed incidence count.  Both are updated in place between
-    yields, so a caller copies whatever must outlive the step.  From one
-    yield to the next only the last entry of `picked` is new, and (i, m)
-    with m > 1 directly follows the subtree of (i, m - 1) at the same
-    position, so a caller may extend running products per prefix.
+
+def _multiset_table(lengths, feats: np.ndarray, max_total: int):
+    """Every multiset of items with total length <= max_total, one row each,
+    depth first in pre-order: the empty multiset, then for each item (by
+    index) each multiplicity followed by the multisets over the later items.
+
+    `lengths` must be nondecreasing.  Returns `picks`, shape (rows, 2 *
+    depth), each row's (item, multiplicity) pairs by increasing item, flat
+    and padded with -1, and `feat`, each row's sum of multiplicity *
+    feats[item].  Rows are built one pick (one level) at a time; the padded
+    picks' lexicographic order is the pre-order.  More than MULTISET_BUDGET
+    rows raise ResourceError, checked on each level's row count before the
+    level is built.
     """
-    picked, inc = [], {}
-
-    def walk(i, budget):
-        yield picked, inc
-        for ci in range(i, len(lengths)):
-            L = lengths[ci]
-            if L > budget:
+    L = np.asarray(lengths, dtype=np.int64)
+    picks = np.empty((1, 0), dtype=np.int32)
+    feat = np.zeros((1, feats.shape[1]), dtype=feats.dtype)
+    last, rem = np.array([-1]), np.array([max_total])
+    levels = [(picks, feat)]
+    n_rows = 1
+    while True:
+        # children of every row: each later item at each multiplicity that fits
+        lo = last + 1
+        counts = []
+        for m in range(1, max_total + 1):
+            count = np.maximum(np.searchsorted(L, rem // m, side="right") - lo, 0)
+            if not count.any():
                 break
-            added = {}
-            mult = 0
-            while (mult + 1) * L <= budget:
-                mult += 1
-                for v, k in incidences[ci].items():
-                    inc[v] = inc.get(v, 0) + k
-                    added[v] = added.get(v, 0) + k
-                picked.append((ci, mult))
-                yield from walk(ci + 1, budget - mult * L)
-                picked.pop()
-            for v, k in added.items():
-                inc[v] -= k
-                if inc[v] == 0:
-                    del inc[v]
+            counts.append(count)
+        if not counts:
+            break
+        n_rows += sum(int(count.sum()) for count in counts)
+        if n_rows > MULTISET_BUDGET:
+            raise ResourceError("multiset enumeration budget exhausted")
+        parent, item, mult = [], [], []
+        for m, count in enumerate(counts, 1):
+            total = int(count.sum())
+            rows = np.repeat(np.arange(len(last)), count)
+            parent.append(rows)
+            item.append(lo[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count))
+            mult.append(np.full(total, m, dtype=feats.dtype))
+        parent, item, mult = map(np.concatenate, (parent, item, mult))
+        picks = np.hstack([picks[parent], np.stack([item, mult], axis=1).astype(np.int32)])
+        feat = feat[parent] + mult[:, None] * feats[item]
+        last, rem = item, rem[parent] - mult * L[item]
+        levels.append((picks, feat))
+    width = picks.shape[1]
+    picks = np.vstack([np.pad(p, ((0, 0), (0, width - p.shape[1])), constant_values=-1)
+                       for p, _ in levels])
+    order = np.lexsort(picks.T[::-1]) if width else np.arange(len(picks))
+    return picks[order], np.vstack([f for _, f in levels])[order]
 
-    return walk(0, max_total)
 
-
-def _site_factor(term, coeffs, sites, inc):
-    """term times C_{k/2} at each site with incidence count k."""
-    for v in sites:
-        k = inc.get(v, 0)
+def _site_factor(term, coeffs, counts):
+    """term times C_{k/2} of each site, in order, with incidence count k;
+    `coeffs` holds each site's list of C_j."""
+    for c, k in zip(coeffs, counts):
         if k % 2:
             raise AssertionError("odd incidence count at an expanded site")
-        term = term * coeffs[v][k // 2]
+        term = term * c[k // 2]
     return term
 
 
 def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
-                    max_total: int, multiset_budget: int = MULTISET_BUDGET
-                    ) -> ExpansionResult:
+                    max_total: int) -> ExpansionResult:
     """Truncated loop-expansion sum over multisets of loop classes with
     total edge-traversal count <= max_total.
 
     `lam` maps each vertex to its RadialMeasure.  The returned ledger holds
     one entry per multiset (signature, total length, contribution) in the
-    deterministic class order; `value` is their sum in that order.  The
+    pre-order of `_multiset_table`; `value` is their sum in that order.  The
     tail majorant bounds the dropped terms via norm bounds on the operators
     and a geometric series (infinite when no geometric bound applies).
     """
@@ -605,31 +624,26 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
         raise ResourceError("max_total too large for class enumeration")
     classes = _enumerate_raw(G, max_total, fieldtag)
     values = [loop_trace(c, M) / c.S for c in classes]
+    lengths = [c.length for c in classes]
     # vertex incidences never exceed 2 * max_total
-    coeffs = _site_coeffs(G, lam, fieldtag, d, max_total)
+    coeffs = _site_coeffs(G.vertices, lam, fieldtag, d, max_total)
+    picks, inc = _multiset_table(lengths, _incidence_rows(G, classes, G.vertices),
+                                 max_total)
 
     edge_text = [str(list(c.edges)) for c in classes]
     ledger = []
     value = 0.0 + 0.0j if fieldtag == "C" else 0.0
-    # (signature, total length) of each prefix of `picked`; between yields
-    # only its last entry is new (see `_multisets`)
-    prefix = [("empty", 0)]
-    for picked, inc in _multisets([c.length for c in classes],
-                                  [_incidence(G, c) for c in classes], max_total):
-        if len(ledger) >= multiset_budget:
-            raise ResourceError("multiset enumeration budget exhausted")
-        term = _site_factor(1.0, coeffs, G.vertices, inc)
-        for (ci, mult) in picked:
+    for row, counts in zip(picks.tolist(), inc.tolist()):
+        term = _site_factor(1.0, coeffs, counts)
+        sig, tl = [], 0
+        for k in range(0, len(row), 2):
+            ci, mult = row[k], row[k + 1]
+            if ci < 0:
+                break
             term = term * values[ci] ** mult / math.factorial(mult)
-        if picked:
-            del prefix[len(picked):]
-            ci, mult = picked[-1]
-            sig, tl = prefix[-1]
-            own = f"{mult}x{edge_text[ci]}"
-            prefix.append((f"{sig}|{own}" if len(picked) > 1 else own,
-                           tl + classes[ci].length * mult))
-        sig, tl = prefix[-1]
-        ledger.append((sig, tl, term))
+            sig.append(f"{mult}x{edge_text[ci]}")
+            tl += lengths[ci] * mult
+        ledger.append(("|".join(sig) or "empty", tl, term))
         value = value + term
 
     if fieldtag == "R":
@@ -909,24 +923,26 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
             shape[ia], shape[ib] = shapes[ia], shapes[ib]
         path_arrays.append((arr / c.S).reshape(shape))
 
-    coeffs = _site_coeffs(G, lam, fieldtag, d, max_total)
+    sites = list(Vbar)
+    coeffs = _site_coeffs(sites, lam, fieldtag, d, max_total)
 
-    # (length, is_loop, factor, incidence); loops first among equal lengths
-    items = sorted([(c.length, True, v, _incidence(G, c))
-                    for c, v in zip(loops, loop_vals)]
-                   + [(c.length, False, f, _incidence(G, c))
-                      for c, f in zip(paths, path_arrays)], key=lambda t: t[0])
+    # (length, is_loop, factor, class); loops first among equal lengths
+    items = sorted([(c.length, True, v, c) for c, v in zip(loops, loop_vals)]
+                   + [(c.length, False, f, c) for c, f in zip(paths, path_arrays)],
+                   key=lambda t: t[0])
+    picks, inc = _multiset_table([t[0] for t in items],
+                                 _incidence_rows(G, [t[3] for t in items], sites),
+                                 max_total)
 
     out = 0.0 + 0.0j if fieldtag == "C" else 0.0
-    prefix = []  # prefix[j]: (scalar, integrand, factorials) of picked[:j]
-    for picked, inc in _multisets([t[0] for t in items], [t[3] for t in items],
-                                  max_total):
-        p = len(picked)
-        if p == 0:
-            prefix = [(1.0, None, 1)]
-        else:
-            idx, mult = picked[-1]
-            # multiplicity m extends the entry of m - 1 at the same position
+    prefix = [(1.0, None, 1)]  # prefix[j]: (scalar, integrand, factorials) of picks[:j]
+    depths = (picks[:, 0::2] >= 0).sum(axis=1).tolist()
+    for p, row, counts in zip(depths, picks.tolist(), inc.tolist()):
+        if p:
+            idx, mult = row[2 * p - 2], row[2 * p - 1]
+            # in the pre-order a row's parent (its first p - 1 picks) precedes
+            # it, and so does the row with multiplicity m - 1 at the same
+            # depth, with only deeper rows between: extend that by one factor
             scalar, integrand, fact = prefix[p if mult > 1 else p - 1]
             _, is_loop, f, _ = items[idx]
             fact = fact * mult
@@ -936,8 +952,8 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
                 integrand = f if integrand is None else integrand * f
             del prefix[p:]
             prefix.append((scalar, integrand, fact))
-        scalar, integrand, fact = prefix[-1]
-        scalar = _site_factor(scalar, coeffs, Vbar, inc)
+        scalar, integrand, fact = prefix[p]
+        scalar = _site_factor(scalar, coeffs, counts)
         if W:
             scalar = scalar * (wgrid.sum() if integrand is None
                                else (integrand * wgrid).sum())
@@ -1023,52 +1039,6 @@ def _step_forms(G: MultiGraph, geom: LatticeGeometry) -> np.ndarray:
     return form
 
 
-def _multiset_table(lengths, S, feats: np.ndarray, max_total: int):
-    """The multisets `_multisets` walks, one array row each, in its pre-order.
-
-    Returns `feat`, the sum of multiplicity * feats[class] of each multiset,
-    and `weight`, its product of 1 / (m! S^m).  `lengths` must be
-    nondecreasing.  Rows are built one pick at a time; `picks` holds the
-    (class, multiplicity) pairs of a row by increasing class, and once
-    padded with -1 its lexicographic order is the pre-order.
-    """
-    L = np.asarray(lengths, dtype=np.int64)
-    S = np.asarray(S, dtype=float)
-    fact = np.array([math.factorial(m) for m in range(max_total + 1)], dtype=float)
-    picks = np.empty((1, 0), dtype=np.int32)
-    feat = np.zeros((1, feats.shape[1]), dtype=feats.dtype)
-    weight = np.ones(1)
-    last, rem = np.array([-1]), np.array([max_total])
-    levels = [(picks, feat, weight)]
-    while True:
-        # children of every row: each later class at each multiplicity that fits
-        parent, item, mult = [], [], []
-        for m in range(1, max_total + 1):
-            lo = last + 1
-            count = np.maximum(np.searchsorted(L, rem // m, side="right") - lo, 0)
-            total = int(count.sum())
-            if total == 0:
-                break
-            rows = np.repeat(np.arange(len(last)), count)
-            parent.append(rows)
-            item.append(lo[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count))
-            mult.append(np.full(total, m, dtype=feats.dtype))
-        if not parent:
-            break
-        parent, item, mult = map(np.concatenate, (parent, item, mult))
-        picks = np.hstack([picks[parent], np.stack([item, mult], axis=1).astype(np.int32)])
-        feat = feat[parent] + mult[:, None] * feats[item]
-        weight = weight[parent] / (fact[mult] * S[item] ** mult)
-        last, rem = item, rem[parent] - mult * L[item]
-        levels.append((picks, feat, weight))
-    width = picks.shape[1]
-    picks = np.vstack([np.pad(p, ((0, 0), (0, width - p.shape[1])), constant_values=-1)
-                       for p, _, _ in levels])
-    order = np.lexsort(picks.T[::-1]) if width else np.arange(len(picks))
-    return (np.vstack([f for _, f, _ in levels])[order],
-            np.concatenate([w for _, _, w in levels])[order])
-
-
 def _first_occurrence_ids(rows: np.ndarray):
     """Id of each int8 row's value, numbered by first occurrence, and the
     first row of each id."""
@@ -1106,7 +1076,7 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     vector of their loops.  The potential-free weights prod 1/(m! S^m) are
     summed per (winding, vertex incidence) and the site coefficients applied
     once per group.  Keys are ordered by first occurrence in the pre-order
-    of `_multisets`.
+    of `_multiset_table`.
     """
     if geom.interior_node_count == 0:
         raise DomainError("lattice has no interior nodes")
@@ -1124,7 +1094,17 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     feats = np.add.reduceat(_step_forms(G, geom)[steps],
                             np.cumsum([0] + lengths, dtype=np.int64)[:-1], axis=0,
                             dtype=np.int8)
-    feat, weight = _multiset_table(lengths, [c.S for c in classes], feats, max_len)
+    picks, feat = _multiset_table(lengths, feats, max_len)
+    # each row's prod 1 / (m! S^m), divided out one pick (one level) at a
+    # time; the padding pick (-1, -1) reads the last entry of `div`, 1.0,
+    # and dividing by 1.0 leaves every bit as it is
+    S = np.array([c.S for c in classes], dtype=float)
+    fact = np.array([math.factorial(m) for m in range(max_len + 1)], dtype=float)
+    div = np.ones((len(classes) + 1, max_len + 1))
+    div[:-1] = fact * S[:, None] ** np.arange(max_len + 1)
+    weight = np.ones(len(picks))
+    for col in div[picks[:, 0::2], picks[:, 1::2]].T:
+        weight = weight / col
     # ids by first occurrence in the pre-order
     group_of, group_row = _first_occurrence_ids(feat)
     groups = feat[group_row]

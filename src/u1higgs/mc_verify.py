@@ -21,7 +21,8 @@ from . import rng as rngmod
 from .gauge_core import LatticeLoop, omega, psi, winding_vector, wrap_angle
 from .gauge_fixing import flatness, gauge_fix
 from .lattice_geom import DomainError, Rect, build_lattice
-from .sampler import ChainConfig, PotentialSpec, sample_interacting, sample_pure_angles
+from .sampler import (ChainConfig, PotentialSpec, check_weight_method, sample_interacting,
+                      sample_pure_angles)
 
 N_BATCHES = 32
 SIGMA_POLICY = 3.0
@@ -108,6 +109,14 @@ def _pure_loop_sums(geom, w, samples, seed, batch=20_000, wrapped=False):
 def _check_mode(mode):
     if mode not in ("pure", "interacting"):
         raise DomainError(f"unknown mode {mode!r}")
+
+
+def _check_chain_scales(mode, N_list, method):
+    """Refuse, before any chain runs, an interacting scan over an N that
+    `method` cannot weigh."""
+    if mode == "interacting":
+        for N in N_list:
+            check_weight_method(method, N)
 
 
 def _interacting_loop_sums(geom, w, samples, seed, pot, method, chain_kw, wrapped=False):
@@ -317,6 +326,7 @@ def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 5,
     _check_mode(mode)
     if not (0 <= alpha < 1 and q > 2.0 / (1.0 - alpha)):
         raise DomainError("need alpha in [0,1) and q > 2/(1-alpha)")
+    _check_chain_scales(mode, N_list, method)
     per_n = {}
     for N in N_list:
         geom = build_lattice(N)
@@ -357,6 +367,7 @@ def verify_uv_stability(N_list=(2, 3, 4, 5), beta: float = 0.5, q: float = 2.0,
     _check_mode(mode)
     if not (0.0 < beta < 1.0):
         raise DomainError("beta must be in (0, 1)")
+    _check_chain_scales(mode, N_list, method)
     per_n = {}
     for N in N_list:
         geom = build_lattice(N)

@@ -111,6 +111,7 @@ def eval_segment(A: OneForm, l: Segment) -> float:
 
 
 def eval_segment_naive(A: OneForm, l: Segment) -> float:
+    """Test oracle: A summed bond by bond along l, checking `eval_segment`."""
     total = 0.0
     for (kind, k1, k2) in l.bonds():
         total += A.h[k1, k2] if kind == 'h' else A.v[k1, k2]

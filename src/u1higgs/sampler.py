@@ -185,16 +185,22 @@ WEIGHT_METHODS = {"monte-carlo": MC_MAX_SCALE, "loop-expansion": LOOP_MAX_SCALE,
                   "quadrature": 1, "constant": math.inf}
 
 
+def check_weight_method(method: str, N: int) -> None:
+    """Raise DomainError for an unknown Higgs weight method or an N above its
+    limit in WEIGHT_METHODS."""
+    if method not in WEIGHT_METHODS:
+        raise DomainError(f"unknown Higgs weight method {method!r}")
+    if N > WEIGHT_METHODS[method]:
+        raise DomainError(f"{method} Higgs weight limited to N <= {WEIGHT_METHODS[method]}")
+
+
 class _WeightModel:
     """The Higgs weight by one of WEIGHT_METHODS: the chain's log D-hat of a
     batch (`log_weight`) and the single-field estimate (`estimate`).  An unknown
     method, or an N above its limit, is refused before any work."""
 
     def __init__(self, geom, pot, method, max_len=8, n_is=64):
-        if method not in WEIGHT_METHODS:
-            raise DomainError(f"unknown Higgs weight method {method!r}")
-        if geom.N > WEIGHT_METHODS[method]:
-            raise DomainError(f"{method} Higgs weight limited to N <= {WEIGHT_METHODS[method]}")
+        check_weight_method(method, geom.N)
         self.geom, self.pot, self.method = geom, pot, method
         self.max_len, self.n_is = max_len, n_is
         if method == "loop-expansion":

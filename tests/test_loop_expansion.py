@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from u1higgs import loop_expansion
 from u1higgs.lattice_geom import DomainError, ResourceError, build_lattice
 from u1higgs.loop_expansion import (
     ComplexLoopClass,
@@ -32,7 +33,8 @@ from u1higgs.loop_expansion import (
 from u1higgs.loop_expansion import (
     _enumerate_raw,
     _incidence,
-    _multisets,
+    _incidence_rows,
+    _multiset_table,
     _real_orbit,
     enumerate_path_classes,
 )
@@ -430,6 +432,22 @@ def _bounded_multisets(lengths, max_total):
     return out
 
 
+def _preorder_multisets(lengths, max_total):
+    """Reference pre-order: the empty multiset, then for each item (by index)
+    each multiplicity followed by the multisets over the later items.  Each
+    multiset is a tuple of (item, multiplicity) by increasing item."""
+    out = []
+
+    def walk(i, picked, budget):
+        out.append(tuple(picked))
+        for ci in range(i, len(lengths)):
+            for mult in range(1, budget // lengths[ci] + 1):
+                walk(ci + 1, picked + [(ci, mult)], budget - mult * lengths[ci])
+
+    walk(0, [], max_total)
+    return out
+
+
 @pytest.mark.parametrize("fieldtag, edges, max_total", [
     ("C", (("x", "x"), ("x", "y"), ("y", "x")), 5),
     ("R", (("x", "x"), ("x", "y"), ("y", "y")), 5),
@@ -439,18 +457,20 @@ def test_multiset_engine_matches_itertools(fieldtag, edges, max_total):
     classes = enumerate_loop_classes(G, max_total, fieldtag)
     lengths = [c.length for c in classes]
     incidences = [_incidence(G, c) for c in classes]
-    seen = []
-    for picked, inc in _multisets(lengths, incidences, max_total):
-        seen.append(tuple(picked))
-        expect_inc = {}
-        for (ci, m) in picked:
-            for v, k in incidences[ci].items():
-                expect_inc[v] = expect_inc.get(v, 0) + m * k
-        assert inc == expect_inc
+    picks, inc = _multiset_table(lengths, _incidence_rows(G, classes, G.vertices),
+                                 max_total)
+    pairs = [list(zip(row[0::2], row[1::2])) for row in picks.tolist()]
+    seen = [tuple((ci, m) for ci, m in row if ci >= 0) for row in pairs]
+    # rows are padded with (-1, -1) after their picks
+    assert all(row[len(picked):] == [(-1, -1)] * (len(row) - len(picked))
+               for row, picked in zip(pairs, seen))
     expected = _bounded_multisets(lengths, max_total)
     assert len(set(expected)) == len(expected) > len(classes)
     # depth-first pre-order is the lexicographic order of the picks
     assert seen == sorted(expected)
+    assert inc.tolist() == [
+        [sum(m * incidences[ci].get(v, 0) for (ci, m) in picked) for v in G.vertices]
+        for picked in seen]
     M = OperatorAssignment.scalars(G, [0.1] * len(edges), fieldtag)
     ledger = expansion_value(G, M, {"x": GAUSS, "y": GAUSS}, max_total).ledger
     assert [t[0] for t in ledger] == [
@@ -471,9 +491,28 @@ def test_ledger_text_matches_per_entry_formatting(fieldtag):
         expected = [
             ("|".join(f"{m}x{list(classes[ci].edges)}" for (ci, m) in picked) or "empty",
              sum(classes[ci].length * m for (ci, m) in picked))
-            for picked, _ in _multisets([c.length for c in classes],
-                                        [_incidence(G, c) for c in classes], 6)]
+            for picked in _preorder_multisets([c.length for c in classes], 6)]
         assert [t[:2] for t in ledger] == expected
+
+
+def test_multiset_budget_counts_rows(monkeypatch):
+    # more multisets than MULTISET_BUDGET raise, in each of the three sums
+    G = _self_loop_graph()
+    M = OperatorAssignment.scalars(G, [0.3], "C")
+    lam = {"x": GAUSS}
+    rows = len(expansion_value(G, M, lam, 6).ledger)
+    assert rows == 30  # partitions of the integers 0..6
+    geom = build_lattice(2)
+    hclasses = _enumerate_raw(interior_bond_graph(geom), 4, "C")
+    hrows = len(_preorder_multisets([c.length for c in hclasses], 4))
+    for n, call in [(rows, lambda: expansion_value(G, M, lam, 6)),
+                    (rows, lambda: partial_expansion(G, M, lam, {"x"}, 6)),
+                    (hrows, lambda: higgs_loop_coefficients(geom, quartic(), 4))]:
+        monkeypatch.setattr(loop_expansion, "MULTISET_BUDGET", n)
+        call()
+        monkeypatch.setattr(loop_expansion, "MULTISET_BUDGET", n - 1)
+        with pytest.raises(ResourceError, match="multiset enumeration budget exhausted"):
+            call()
 
 
 def test_expansion_two_vertex_oracle():
@@ -636,7 +675,7 @@ def test_interior_bond_graph_counts():
 
 def _per_multiset_coefficients(geom, pot, max_len):
     """Oracle: the coefficient build before the array grouping.  One term per
-    multiset of oracle classes in the pre-order of `_multisets`, windings
+    multiset of oracle classes in the reference pre-order, windings
     from `winding_vector`, keys in order of first occurrence.  Each key's
     terms are summed with math.fsum, so that the comparison measures the
     build's rounding, not the oracle's own summation error (a running sum
@@ -650,9 +689,13 @@ def _per_multiset_coefficients(geom, pot, max_len):
     for c in classes:
         nodes = [G.edges[c.edges[0]][0]] + [G.edges[e][1] for e in c.edges]
         windings.append(winding_vector(LatticeLoop(tuple(nodes), geom.N)).T.reshape(-1))
+    incidences = [_incidence(G, c) for c in classes]
     terms = {}
-    for picked, inc in _multisets([c.length for c in classes],
-                                  [_incidence(G, c) for c in classes], max_len):
+    for picked in _preorder_multisets([c.length for c in classes], max_len):
+        inc = {}
+        for (ci, mult) in picked:
+            for v, k in incidences[ci].items():
+                inc[v] = inc.get(v, 0) + mult * k
         term = cj[0] ** len(G.vertices)
         for v, k in inc.items():
             term = term / cj[0] * cj[k // 2]

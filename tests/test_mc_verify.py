@@ -180,3 +180,14 @@ def test_uv_stability_reproducible():
     a = verify_uv_stability((2,), beta=0.5, samples=10, seed=11)
     b = verify_uv_stability((2,), beta=0.5, samples=10, seed=11)
     assert a.extras["per_N"][2]["mean"] == b.extras["per_N"][2]["mean"]
+
+
+@pytest.mark.parametrize("verify", [verify_flatness_moments, verify_uv_stability])
+def test_interacting_scan_refuses_n_above_method_limit_before_sampling(verify, monkeypatch):
+    # the default N_list reaches N=3, above the loop-expansion weight's limit
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the N limit was checked")
+
+    monkeypatch.setattr("u1higgs.mc_verify.sample_interacting", no_chain)
+    with pytest.raises(DomainError, match="loop-expansion Higgs weight limited to N <= 2"):
+        verify(mode="interacting")
