@@ -22,7 +22,7 @@ import numpy as np
 
 from .gauge_core import GaugeField, GaugeTransform, apply_gauge, log_u1, to_axial, wrap_angle
 from .lattice_geom import DomainError, Rect, build_lattice
-from .norms import log_oneform, norm_gr, pair_max_table, pair_rows, pair_sup, seminorm_rho
+from .norms import log_oneform, norm_gr, pair_range_table, pair_rows, pair_sup, seminorm_rho
 
 TWO_PI = 2.0 * math.pi
 SMALLNESS_TOL = 1e-9  # |sum beta_i mod 2pi| beyond this is a geometry bug
@@ -49,15 +49,15 @@ def flatness_sweep(g: GaugeField):
     alpha -> `flatness(g, alpha)` that reads every exponent from it.
 
     Rows are the column pairs x1 < x2 of the summed-area table S, positions
-    the rows y: C[y, (x1, x2)] = S[x2, y] - S[x1, y] (see `norms` for the
+    the rows y: C[(x1, x2), y] = S[x2, y] - S[x1, y] (see `norms` for the
     kernel, its exactness and the tie order x1, x2, y1, y2).
     """
     n, N = g.geom.n, g.geom.N
     P = g.plaquette_angles()
     S = np.zeros((n + 1, n + 1))
     S[1:, 1:] = P.cumsum(axis=0).cumsum(axis=1)
-    C, x1, x2 = pair_rows(S.T)
-    M = pair_max_table(C)
+    C, x1, x2 = pair_rows(S)
+    G = pair_range_table(C)
     dx = x2 - x1
 
     def at(alpha: float) -> FlatnessReport:
@@ -66,7 +66,7 @@ def flatness_sweep(g: GaugeField):
         pow_neg = np.ones(n + 1)
         pow_neg[1:] = np.arange(1, n + 1, dtype=float) ** (-alpha / 2.0)
         area_scale = (4.0 ** (-N)) ** (-alpha / 2.0)
-        best, (L, r, y1) = pair_sup(C, M, pow_neg[1:], pow_neg[dx], False)
+        best, (L, r, y1) = pair_sup(C, G, pow_neg[1:], pow_neg[dx], False)
         return FlatnessReport(alpha, best * area_scale,
                               Rect(int(x1[r]), y1, int(dx[r]), L, N))
     return at
@@ -286,8 +286,7 @@ def theorem_scale(flatness_value: float, alpha: float) -> int:
 
 
 def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
-              force_m: int | None = None,
-              rho_kwargs: dict | None = None) -> tuple[GaugeTransform, GaugeFixReport]:
+              force_m: int | None = None) -> tuple[GaugeTransform, GaugeFixReport]:
     """Full gauge-fixing pipeline with fallback.
 
     With the default `force_m=None` the scale is the theorem's: the smallest
@@ -304,7 +303,8 @@ def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
     if used_m is not None and not (1 <= used_m <= N):
         raise DomainError(f"forced scale {used_m} out of range at N={N}")
     fallback = m_theorem > N
-    rho_kwargs = rho_kwargs or {}
+    f_bk = {} if used_m is None else {beta: flat(beta + kappa).value for beta in betas}
+    del flat  # frees the rectangle table before the rho tables are built
 
     axial_sup = axial_max = None
     hyp_simple = hyp_landau = None
@@ -332,13 +332,12 @@ def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
     c = math.pi / 8.0
     for beta in betas:
         gr = norm_gr(A, beta)
-        sr = seminorm_rho(A, beta, **rho_kwargs)
+        sr = seminorm_rho(A, beta)
         norms_out[beta] = {"norm_gr": gr, "seminorm_rho": sr, "norm_full": gr + sr}
         trivial[beta] = 2.0 * math.pi * 2.0 ** (N * (1.0 + beta / 2.0))
         if used_m is not None:
-            f_bk = flat(beta + kappa).value
             gr_bound[(beta, kappa)] = (c * 2.0 ** (used_m + 1)
-                                       + 4.0 * f_bk * 2.0 ** (-(used_m + 1) * kappa)
+                                       + 4.0 * f_bk[beta] * 2.0 ** (-(used_m + 1) * kappa)
                                        / (1.0 - 2.0 ** (-kappa)))
     report = GaugeFixReport(
         alpha=alpha, flatness_value=fr.value, flatness_argmax=fr.argmax,

@@ -100,6 +100,7 @@ class RadialMeasure:
         self.moment_fn = moment_fn
         self.name = name or kind
         self._cache: dict[int, float] = {}
+        self._radius: dict[tuple[float, float], float] = {}
 
     @classmethod
     def dirac0(cls) -> "RadialMeasure":
@@ -151,6 +152,8 @@ class RadialMeasure:
         """
         if self.kind != "density":
             raise DomainError("radius_for applies to density measures")
+        if (growth, tol) in self._radius:
+            return self._radius[growth, tol]
 
         def f(s):
             w = self.density(s)
@@ -162,7 +165,8 @@ class RadialMeasure:
         total, _ = integrate.quad(f, 0.0, np.inf, limit=200)
         if not np.isfinite(total) or total >= 1e280:
             raise NumericalError("density integral with growth term diverges")
-        return _tail_radius(f, total, tol)
+        self._radius[growth, tol] = R = _tail_radius(f, total, tol)
+        return R
 
     def radius_for_moment(self, jmax: int, tol: float = 1e-13) -> float:
         """Radius R whose tail contribution to moment(jmax) is below tol."""

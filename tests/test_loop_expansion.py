@@ -83,6 +83,14 @@ def test_gaussian_moments_and_log_convexity():
     assert check_log_convex_moments(higgs_site_measure(lambda x: x ** 4 - x ** 2))
 
 
+def test_radius_for_is_memoised_per_growth(monkeypatch):
+    lam = RadialMeasure.gaussian_type()
+    radii = [lam.radius_for(g) for g in (0.1, 0.3)]
+    assert radii == [RadialMeasure.gaussian_type().radius_for(g) for g in (0.1, 0.3)]
+    monkeypatch.setattr(loop_expansion, "_tail_radius", None)  # no quadrature now
+    assert [lam.radius_for(g) for g in (0.1, 0.3)] == radii
+
+
 # ---------------------------------------------------------------- loop classes
 
 def _self_loop_graph():
