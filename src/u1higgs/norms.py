@@ -74,7 +74,7 @@ from .lattice_geom import DomainError, LatticeGeometry, ResourceError, Segment
 
 EXACT_PAIR_SCALE_LIMIT = 8  # N above this: exact rho-seminorm pair sweep refused
 PRUNE_SLACK = 1e-12         # relative margin of the pair-sup prune test
-_CHUNK = 1 << 15            # cells of C per step of the range table (L2-sized)
+_CHUNK = 1 << 15            # cells per step of the range table and `_pair_max` (L2-sized)
 
 
 @dataclass

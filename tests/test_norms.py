@@ -375,7 +375,8 @@ def test_branch_and_bound_matches_dense_oracle(N, monkeypatch):
     for _ in range(2):
         X = rng.normal(0.0, 2.0 ** -N, (geom.n, geom.n))
         g = psi(geom, X)
-        fields += [g, psi(geom, 0.05 * X), apply_gauge(g, gauge_fix(g, 0.5, betas=(), force_m=2)[0])]
+        fixed = apply_gauge(g, gauge_fix(g, 0.5, betas=(), force_m=2)[0])
+        fields += [g, psi(geom, 0.05 * X), fixed]
     forms = [log_oneform(g) for g in fields] + list(_tie_corpus(N, rng))
     got = _kernel_outputs(fields, forms)
     monkeypatch.setattr(norms, "pair_sup", _dense_pair_sup)
