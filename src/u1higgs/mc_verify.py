@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .gauge_core import LatticeLoop, omega, psi, winding_vector, wrap_angle
+from .gauge_core import (LatticeLoop, omega, psi, rect_boundary_loop, winding_vector,
+                         wrap_angle)
 from .gauge_fixing import flatness, gauge_fix
 from .lattice_geom import DomainError, Rect, build_lattice
 from .sampler import (ChainConfig, PotentialSpec, check_weight_method, sample_interacting,
@@ -86,7 +87,6 @@ def batch_means_stderr(values: np.ndarray, n_batches: int = N_BATCHES) -> float:
 def half_square_loop(geom) -> LatticeLoop:
     """Boundary of [0, 1/2]^2 (omega = 1/4)."""
     h = geom.n // 2
-    from .gauge_core import rect_boundary_loop
     return rect_boundary_loop(geom, Rect(0, 0, h, h, geom.N))
 
 
@@ -119,7 +119,26 @@ def _check_chain_scales(mode, N_list, method):
             check_weight_method(method, N)
 
 
-def _interacting_loop_sums(geom, w, samples, seed, pot, method, chain_kw, wrapped=False):
+def _loop_setup(N, loop, mode):
+    """(geom, loop, omega, winding weights); the loop defaults to the half square."""
+    _check_mode(mode)
+    geom = build_lattice(N)
+    if loop is None:
+        loop = half_square_loop(geom)
+    return geom, loop, omega(loop), winding_vector(loop).astype(float)
+
+
+def _loop_sums(verify, arg, geom, loop, w, samples, mode, seed, pot, method,
+               chain_kw, wrapped=False):
+    """(sums, extras, chain result or None).  Interacting mode first gates on
+    `verify` itself in pure mode at a tenth of the samples; None if it fails."""
+    if mode == "pure":
+        sums, wraps = _pure_loop_sums(geom, w, samples, seed, wrapped=wrapped)
+        return sums, {"wrap_events": wraps}, None
+    gate = verify(geom.N, loop, arg, max(2000, samples // 10), "pure",
+                  rngmod.spawn_seed(seed, 1))
+    if gate.verdict == "fail":
+        return None
     cfg = ChainConfig(samples=samples, seed=seed,
                       **(chain_kw or {"burn_in": 1000, "thin": 4, "n_chains": 4}))
     res = sample_interacting(geom, pot, cfg, method=method)
@@ -127,7 +146,7 @@ def _interacting_loop_sums(geom, w, samples, seed, pot, method, chain_kw, wrappe
     Y = wrap_angle(X) if wrapped else X
     sums = (Y * w[None, :, :]).sum(axis=(1, 2))
     wraps = int((np.abs(X) >= np.pi).any(axis=(1, 2)).sum())
-    return sums, wraps, res
+    return sums, {"gate": "pass", "wrap_events": wraps, "iat": res.iat}, res
 
 
 def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
@@ -137,42 +156,28 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
     """Pure gauge: E e^{eta B^2} equals (1 - 2 eta omega)^(-1/2) (two-sided).
     Interacting: E e^{eta A^2} is bounded by the same closed form (one-sided).
     """
-    _check_mode(mode)
-    geom = build_lattice(N)
-    if loop is None:
-        loop = half_square_loop(geom)
-    om = omega(loop)
+    geom, loop, om, w = _loop_setup(N, loop, mode)
     if not (0 <= eta < 0.5 / om):
         raise DomainError(f"eta = {eta} outside [0, 1/(2 omega)) with omega = {om}")
-    w = winding_vector(loop).astype(float)
     reference = (1.0 - 2.0 * eta * om) ** (-0.5)
     params = {"N": N, "eta": eta, "omega": om, "mode": mode}
-    extras = {}
+    got = _loop_sums(verify_mgf, eta, geom, loop, w, samples, mode, seed, pot,
+                     method, chain_kw)
+    if got is None:
+        return ExperimentResult("mgf", params, math.nan, math.nan, reference, "fail",
+                                0, seed, {"gate": "fail"})
+    sums, extras, res = got
+    vals = np.exp(eta * sums ** 2)
+    est, se = float(vals.mean()), batch_means_stderr(vals)
     if mode == "pure":
-        sums, wraps = _pure_loop_sums(geom, w, samples, seed)
-        vals = np.exp(eta * sums ** 2)
-        est, se = float(vals.mean()), batch_means_stderr(vals)
         verdict = "pass" if abs(est - reference) <= SIGMA_POLICY * se else "fail"
-        extras["wrap_events"] = wraps
     else:
-        gate = verify_mgf(N, loop, eta, max(2000, samples // 10), "pure",
-                          rngmod.spawn_seed(seed, 1))
-        extras["gate"] = gate.verdict
-        if gate.verdict == "fail":
-            return ExperimentResult("mgf", params, math.nan, math.nan, reference,
-                                    "fail", 0, seed, {"gate": "fail"})
-        sums, wraps, res = _interacting_loop_sums(geom, w, samples, seed, pot,
-                                                  method, chain_kw)
-        vals = np.exp(eta * sums ** 2)
-        est = float(vals.mean())
-        se = batch_means_stderr(vals) * math.sqrt(max(res.iat, 1.0))
+        se *= math.sqrt(max(res.iat, 1.0))
         verdict = "pass" if est <= reference + SIGMA_POLICY * se else "fail"
-        extras.update({"wrap_events": wraps, "iat": res.iat,
-                       "acceptance": res.acceptance.tolist(),
+        extras.update({"acceptance": res.acceptance.tolist(),
                        "proposal_std": res.proposal_std})
-        samples = len(sums)
     return ExperimentResult("mgf", params, est, se, reference, verdict,
-                            samples, seed, extras)
+                            len(sums), seed, extras)
 
 
 def verify_tail(N: int, loop: LatticeLoop | None = None,
@@ -184,25 +189,14 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
     """P[|A| >= x] <= sqrt(2) e^{-x^2/(4 omega)} at every grid point
     (one-sided with binomial buffer); the pure mode also cross-checks the
     exact Gaussian tail."""
-    _check_mode(mode)
-    geom = build_lattice(N)
-    if loop is None:
-        loop = half_square_loop(geom)
-    om = omega(loop)
-    w = winding_vector(loop).astype(float)
-    if mode == "pure":
-        sums, wraps = _pure_loop_sums(geom, w, samples, seed)
-        extras = {"wrap_events": wraps}
-    else:
-        gate = verify_tail(N, loop, x_grid, max(2000, samples // 10), "pure",
-                           rngmod.spawn_seed(seed, 1))
-        if gate.verdict == "fail":
-            return ExperimentResult("tail", {"N": N, "omega": om, "mode": mode},
-                                    math.nan, math.nan, None, "fail", 0, seed,
-                                    {"gate": "fail"})
-        sums, wraps, res = _interacting_loop_sums(geom, w, samples, seed, pot,
-                                                  method, chain_kw)
-        extras = {"wrap_events": wraps, "iat": res.iat, "gate": "pass"}
+    geom, loop, om, w = _loop_setup(N, loop, mode)
+    params = {"N": N, "omega": om, "mode": mode}
+    got = _loop_sums(verify_tail, x_grid, geom, loop, w, samples, mode, seed,
+                     pot, method, chain_kw)
+    if got is None:
+        return ExperimentResult("tail", params, math.nan, math.nan, None, "fail", 0,
+                                seed, {"gate": "fail"})
+    sums, extras, _ = got
     rows = []
     ok = True
     for x in x_grid:
@@ -221,9 +215,9 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
         rows.append(row)
     extras["grid"] = rows
     worst = max(rows, key=lambda r: r["p"] - r["bound"])
-    return ExperimentResult("tail", {"N": N, "omega": om, "mode": mode},
-                            worst["p"], worst["stderr"], worst["bound"],
-                            "pass" if ok else "fail", len(sums), seed, extras)
+    return ExperimentResult("tail", params, worst["p"], worst["stderr"],
+                            worst["bound"], "pass" if ok else "fail", len(sums),
+                            seed, extras)
 
 
 def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
@@ -235,28 +229,15 @@ def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
     """E |sum_p l(p) log g(dp)|^q against the bound shape (C q sqrt(omega))^q
     with the calibration constant; the q = 2 pure value also checks omega.
     Growth in q is reported as a diagnostic."""
-    _check_mode(mode)
-    geom = build_lattice(N)
-    if loop is None:
-        loop = half_square_loop(geom)
-    om = omega(loop)
-    w = winding_vector(loop).astype(float)
-    if mode == "pure":
-        sums, wraps = _pure_loop_sums(geom, w, samples, seed, wrapped=True)
-        extras = {"wrap_events": wraps}
-    else:
-        gate = verify_plaquette_sum_moments(N, loop, q_list,
-                                            max(2000, samples // 10), "pure",
-                                            rngmod.spawn_seed(seed, 1))
-        if gate.verdict == "fail":
-            return ExperimentResult("plaquette_sum_moments",
-                                    {"N": N, "omega": om, "mode": mode},
-                                    math.nan, math.nan, None, "fail", 0, seed,
-                                    {"gate": "fail"})
-        # log g(dp) is the wrapped plaquette angle
-        sums, wraps, res = _interacting_loop_sums(geom, w, samples, seed, pot,
-                                                  method, chain_kw, wrapped=True)
-        extras = {"wrap_events": wraps, "iat": res.iat}
+    geom, loop, om, w = _loop_setup(N, loop, mode)
+    params = {"N": N, "omega": om, "mode": mode}
+    # log g(dp) is the wrapped plaquette angle
+    got = _loop_sums(verify_plaquette_sum_moments, q_list, geom, loop, w, samples,
+                     mode, seed, pot, method, chain_kw, wrapped=True)
+    if got is None:
+        return ExperimentResult("plaquette_sum_moments", params, math.nan, math.nan,
+                                None, "fail", 0, seed, {"gate": "fail"})
+    sums, extras, _ = got
     rows = []
     ok = True
     for q in q_list:
@@ -275,9 +256,8 @@ def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
         ok = ok and two_sided
     extras["rows"] = rows
     return ExperimentResult(
-        "plaquette_sum_moments", {"N": N, "omega": om, "mode": mode,
-                                  "C": PLAQ_SUM_C},
-        rows[0]["moment"], rows[0]["stderr"], om if mode == "pure" else None,
+        "plaquette_sum_moments", {**params, "C": PLAQ_SUM_C}, rows[0]["moment"],
+        rows[0]["stderr"], om if mode == "pure" else None,
         "pass" if ok else "fail", len(sums), seed, extras)
 
 
@@ -316,6 +296,18 @@ def verify_decorrelation(sigmaA: float, sigmaB: float, sigmaAB: float,
          "E_exp_etaA2": e_eta, "E_cosB": e_cos})
 
 
+def _scan_configs(N, samples, seed, mode, pot, method):
+    """(geom, configurations) at one N of a per-N scan: independent
+    pure-gauge draws, or the kept states of one interacting chain."""
+    geom = build_lattice(N)
+    if mode == "pure":
+        gen = rngmod.stream(seed, N, tag="")
+        return geom, (sample_pure_angles(geom, gen) for _ in range(samples))
+    cfg = ChainConfig(samples=samples, seed=rngmod.spawn_seed(seed, N),
+                      burn_in=500, thin=4, n_chains=1)
+    return geom, sample_interacting(geom, pot, cfg, method=method).X[0]
+
+
 def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 5,
                             samples: int = 200, seed: int = 0,
                             mode: str = "pure",
@@ -329,20 +321,9 @@ def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 5,
     _check_chain_scales(mode, N_list, method)
     per_n = {}
     for N in N_list:
-        geom = build_lattice(N)
-        if mode == "pure":
-            gen = rngmod.stream(seed, N, tag="")
-            vals = np.empty(samples)
-            for i in range(samples):
-                X = sample_pure_angles(geom, gen)
-                vals[i] = flatness(psi(geom, X), alpha).value ** (2 * q)
-        else:
-            cfg = ChainConfig(samples=samples, seed=rngmod.spawn_seed(seed, N),
-                              burn_in=500, thin=4, n_chains=2)
-            res = sample_interacting(geom, pot, cfg, method=method)
-            X = res.flat()[:samples]
-            vals = np.array([flatness(psi(geom, x), alpha).value ** (2 * q)
-                             for x in X])
+        geom, configs = _scan_configs(N, samples, seed, mode, pot, method)
+        vals = np.array([flatness(psi(geom, X), alpha).value ** (2 * q)
+                         for X in configs])
         per_n[N] = {"mean": float(vals.mean()),
                     "stderr": batch_means_stderr(vals)}
     means = [per_n[N]["mean"] for N in N_list]
@@ -370,27 +351,16 @@ def verify_uv_stability(N_list=(2, 3, 4, 5), beta: float = 0.5, q: float = 2.0,
     _check_chain_scales(mode, N_list, method)
     per_n = {}
     for N in N_list:
-        geom = build_lattice(N)
-        if mode == "pure":
-            gen = rngmod.stream(seed, N, tag="")
-            configs = (sample_pure_angles(geom, gen) for _ in range(samples))
-            count = samples
-        else:
-            cfg = ChainConfig(samples=samples, seed=rngmod.spawn_seed(seed, N),
-                              burn_in=500, thin=4, n_chains=2)
-            res = sample_interacting(geom, pot, cfg, method=method)
-            configs = (x for x in res.flat()[:samples])
-            count = min(samples, len(res.flat()))
-        vals = np.empty(count)
+        geom, configs = _scan_configs(N, samples, seed, mode, pot, method)
+        vals = np.empty(samples)
         fallbacks = 0
         for i, X in enumerate(configs):
-            g = psi(geom, X)
-            u, rep = gauge_fix(g, alpha, betas=(beta,))
+            _, rep = gauge_fix(psi(geom, X), alpha, betas=(beta,))
             fallbacks += int(rep.fallback)
             vals[i] = rep.norms[beta]["norm_full"] ** q
         per_n[N] = {"mean": float(vals.mean()),
                     "stderr": batch_means_stderr(vals),
-                    "fallback_fraction": fallbacks / count}
+                    "fallback_fraction": fallbacks / samples}
     means = [per_n[N]["mean"] for N in N_list]
     ratio = max(means) / max(min(means), 1e-300)
     verdict = "pass" if ratio <= ratio_bound else "fail"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from u1higgs.gauge_core import rect_boundary_loop
+from u1higgs import rng as rngmod
+from u1higgs.gauge_core import psi, rect_boundary_loop
+from u1higgs.gauge_fixing import flatness, gauge_fix
 from u1higgs.lattice_geom import DomainError, Rect, build_lattice
 from u1higgs.mc_verify import (
     ExperimentResult,
@@ -16,6 +18,7 @@ from u1higgs.mc_verify import (
     verify_tail,
     verify_uv_stability,
 )
+from u1higgs.sampler import ChainConfig, PotentialSpec, sample_interacting
 
 
 def test_experiment_result_verdict_guard():
@@ -103,7 +106,7 @@ def test_plaquette_moments_interacting_small():
     r = verify_plaquette_sum_moments(2, samples=1200, mode="interacting", seed=8,
                                      chain_kw={"burn_in": 400, "thin": 3,
                                                "n_chains": 2})
-    assert r.verdict == "pass"
+    assert r.verdict == "pass" and r.extras["gate"] == "pass"
     assert all(row["ratio"] <= 1.0 for row in r.extras["rows"])
 
 
@@ -155,7 +158,6 @@ def test_flatness_moments_q_guard():
 
 def test_flatness_identity_corpus_zero():
     from u1higgs.gauge_core import GaugeField
-    from u1higgs.gauge_fixing import flatness
     g = GaugeField.identity(build_lattice(3))
     assert flatness(g, 0.5).value == 0.0
 
@@ -191,3 +193,62 @@ def test_interacting_scan_refuses_n_above_method_limit_before_sampling(verify, m
     monkeypatch.setattr("u1higgs.mc_verify.sample_interacting", no_chain)
     with pytest.raises(DomainError, match="loop-expansion Higgs weight limited to N <= 2"):
         verify(mode="interacting")
+
+
+@pytest.mark.parametrize("verify, params, reference", [
+    (verify_mgf, {"N": 2, "eta": 1.0, "omega": 0.25, "mode": "interacting"},
+     math.sqrt(2.0)),
+    (verify_tail, {"N": 2, "omega": 0.25, "mode": "interacting"}, None),
+    (verify_plaquette_sum_moments, {"N": 2, "omega": 0.25, "mode": "interacting"}, None),
+], ids=["mgf", "tail", "plaquette_sum_moments"])
+def test_interacting_loop_experiment_stops_on_failed_pure_gate(verify, params, reference,
+                                                               monkeypatch):
+    # every pure sum far out in the tail fails each experiment's pure check
+    def far_sums(geom, w, samples, seed, **kwargs):
+        return np.full(samples, 10.0), 0
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran after the pure gate failed")
+
+    monkeypatch.setattr("u1higgs.mc_verify._pure_loop_sums", far_sums)
+    monkeypatch.setattr("u1higgs.mc_verify.sample_interacting", no_chain)
+    r = verify(2, samples=1200, mode="interacting", seed=4)
+    assert math.isnan(r.estimate) and math.isnan(r.stderr)
+    assert (r.verdict, r.sample_size, r.extras) == ("fail", 0, {"gate": "fail"})
+    assert r.parameters == params
+    assert r.reference == reference
+
+
+def _flatness_moment(geom, X):
+    return flatness(psi(geom, X), 0.5).value ** 10
+
+
+def _uv_norm(geom, X):
+    _, rep = gauge_fix(psi(geom, X), 0.5, betas=(0.5,))
+    return rep.norms[0.5]["norm_full"] ** 2.0
+
+
+@pytest.mark.parametrize("verify, statistic", [
+    (verify_flatness_moments, _flatness_moment),
+    (verify_uv_stability, _uv_norm),
+], ids=["flatness_moments", "uv_stability"])
+def test_interacting_scan_runs_one_chain_per_n(verify, statistic, monkeypatch):
+    configs = []
+
+    def one_chain(geom, pot, cfg, method):
+        configs.append(cfg)
+        return sample_interacting(geom, pot, cfg, method=method)
+
+    monkeypatch.setattr("u1higgs.mc_verify.sample_interacting", one_chain)
+    seed, samples = 12, 32
+    r = verify((1, 2), samples=samples, seed=seed, mode="interacting")
+    assert [cfg.n_chains for cfg in configs] == [1, 1]
+    # chain 0 does not depend on how many chains run beside it
+    for N in (1, 2):
+        cfg = ChainConfig(samples=samples, seed=rngmod.spawn_seed(seed, N),
+                          burn_in=500, thin=4, n_chains=2)
+        geom = build_lattice(N)
+        X0 = sample_interacting(geom, PotentialSpec(), cfg, method="loop-expansion").X[0]
+        vals = np.array([statistic(geom, X) for X in X0])
+        assert r.extras["per_N"][N]["mean"] == float(vals.mean())
+        assert r.extras["per_N"][N]["stderr"] == batch_means_stderr(vals)

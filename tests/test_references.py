@@ -1,10 +1,11 @@
-"""Source hygiene: every public module-level name in src/u1higgs has a reader.
+"""Source hygiene: every module-level name in src/u1higgs has a reader.
 
 A name counts as read when some other statement in src/, tests/ or
 scripts/ loads it (as a bare name or as an attribute) or imports it.  Its
 own definition does not count, and neither do the re-exports of
-`__init__.py`.  Like test_imports.py, this stdlib `ast` scan stands in for
-a linter.
+`__init__.py`.  Private names are held to the same rule, so a helper that
+a refactor leaves behind fails; dunders are exempt.  Like test_imports.py,
+this stdlib `ast` scan stands in for a linter.
 """
 
 import ast
@@ -16,7 +17,7 @@ READERS = ("src", "tests", "scripts")
 
 
 def defined_names(stmt):
-    """Public names a top-level statement binds."""
+    """Non-dunder names a top-level statement binds."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, ast.Assign):
@@ -25,7 +26,7 @@ def defined_names(stmt):
         names = [stmt.target.id]
     else:
         names = []
-    return [n for n in names if not n.startswith("_")]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
 def read_names(stmt, reexports):
@@ -41,7 +42,7 @@ def read_names(stmt, reexports):
     return out
 
 
-def unread_public_names():
+def unread_names():
     # one entry per top-level statement: (file, statement, names it reads)
     statements = []
     for top in READERS:
@@ -55,10 +56,15 @@ def unread_public_names():
             continue
         for name in defined_names(stmt):
             if not any(name in reads for _, other, reads in statements if other is not stmt):
-                unread.append(f"{path.name}:{stmt.lineno}: {name}")
+                unread.append((name, f"{path.name}:{stmt.lineno}: {name}"))
     return unread
 
 
 def test_every_public_name_is_read():
-    found = unread_public_names()
+    found = [where for name, where in unread_names() if not name.startswith("_")]
     assert not found, "public names that nothing reads: " + ", ".join(found)
+
+
+def test_every_private_name_is_read():
+    found = [where for name, where in unread_names() if name.startswith("_")]
+    assert not found, "private names that nothing reads: " + ", ".join(found)
