@@ -13,8 +13,10 @@ Conventions:
   * in the real case self-loop couplings enter the exponent with a factor
     1/2 (the single-edge path class has symmetry factor 2, which is how the
     expansion side accounts for it);
-  * loop classes are edge sequences up to cyclic rotation (complex) or up
-    to rotation and reversal with self-loop signs normalized (real).
+  * a loop or path class is an `EdgeClass`: its least step sequence up to
+    rotation (complex loops) or rotation and reversal (real loops).  A step
+    is an edge id (complex) or an (edge id, +-1) pair (real, self-loops +1);
+    `_signed` reads either as (edge, +-1).
 
 Each loop class is generated once, as its canonical (least) sequence, by
 the FKM prenecklace rule (Fredricksen, Kessler & Maiorana; Ruskey, Savage &
@@ -26,13 +28,15 @@ A closed walk is the least rotation of its class exactly when t % p == 0,
 and its rotation stabiliser has S = t / p elements.  For the real field
 (bracelets, Sawada 2001) a necklace is kept only if it is <= the least
 rotation of its normalised reverse, and then S = (t / p) * (2 if the two
-are equal, else 1).
+are equal, else 1).  A class's vertex incidences (and, for the Higgs
+coefficients, its winding vector) sum a per-edge form over its steps: one
+`np.add.reduceat` over all classes (`_class_sums`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -237,7 +241,8 @@ def c_coeff(j: int, lam: RadialMeasure, fieldtag: str, d: int) -> float:
 
 @dataclass
 class OperatorAssignment:
-    """One d x d matrix per edge; real field enforces symmetric self-loops."""
+    """One d x d matrix per edge; the real field enforces real matrices and
+    symmetric self-loops."""
 
     fieldtag: str  # 'C' | 'R'
     dim: int
@@ -253,7 +258,11 @@ class OperatorAssignment:
             raise DomainError("one matrix per edge required")
         mats = []
         for e, M in enumerate(self.mats):
-            M = np.asarray(M, dtype=complex if self.fieldtag == "C" else float)
+            M = np.asarray(M)
+            if self.fieldtag == "R" and np.any(M.imag):
+                raise DomainError(f"matrix for edge {e} is not real")
+            M = np.asarray(M if self.fieldtag == "C" else M.real,
+                           dtype=complex if self.fieldtag == "C" else float)
             if M.shape != (self.dim, self.dim):
                 raise DomainError(f"matrix for edge {e} has shape {M.shape}")
             if (self.fieldtag == "R" and self.graph.is_self_loop(e)
@@ -278,35 +287,11 @@ class OperatorAssignment:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComplexLoopClass:
-    """Edge sequence up to cyclic rotation; canonical = lexicographically
-    minimal rotation; S = number of rotations fixing the sequence."""
-
-    edges: tuple[int, ...]
-    S: int
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class RealLoopClass:
-    """Signed edge sequence up to rotations and reversal, self-loop signs
-    normalized to +1; S = number of group elements of C_n x Z_2 fixing it."""
-
-    edges: tuple[tuple[int, int], ...]  # (edge id, +-1)
-    S: int
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class PathClass:
-    """Open edge sequence (complex) or signed edge sequence up to reversal
-    (real); S = 2 for real palindromes, else 1."""
+class EdgeClass:
+    """A loop or path class by its canonical step sequence: edge ids (C) or
+    (edge id, +-1) pairs (R, self-loop signs +1), see `_signed`.  S is the
+    number of rotations (C loops), rotations and reversals (R loops) or
+    reversals (R paths) fixing the sequence; 1 for complex paths."""
 
     edges: tuple
     S: int = 1
@@ -357,9 +342,15 @@ def _reversed_letters(G: MultiGraph) -> list[int]:
 
 
 def _decode(letters, fieldtag: str) -> tuple:
+    """Letters of `_move_table` -> the class's steps (see `EdgeClass`)."""
     if fieldtag == "C":
         return tuple(letters)
     return tuple((x >> 1, 1 if x & 1 else -1) for x in letters)
+
+
+def _signed(step) -> tuple[int, int]:
+    """A class step as (edge, +1 along its orientation or -1 against it)."""
+    return (step, 1) if isinstance(step, int) else step
 
 
 class _NodeBudget:
@@ -384,8 +375,6 @@ def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str,
     may be restricted to a subset (loops must stay inside it).  The node
     budget counts the generator's nodes (the walk prefixes it extends).
     """
-    if max_len < 1:
-        return []
     if max_len > DEFAULT_MAX_LEN:
         raise ResourceError(f"max_len {max_len} exceeds the guard {DEFAULT_MAX_LEN}; "
                             "call with a smaller bound or use the internal "
@@ -433,8 +422,7 @@ def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str,
         grow(nxt, start, 1, 1)
         seq.pop()
     found.sort(key=lambda f: (len(f[0]), f[0]))
-    cls = ComplexLoopClass if fieldtag == "C" else RealLoopClass
-    return [cls(_decode(key, fieldtag), S) for key, S in found]
+    return [EdgeClass(_decode(key, fieldtag), S) for key, S in found]
 
 
 def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
@@ -477,7 +465,7 @@ def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
 
     for v in sorted(endpoints, key=repr):
         dfs(v)
-    return [PathClass(_decode(key, fieldtag), S)
+    return [EdgeClass(_decode(key, fieldtag), S)
             for key, S in sorted(classes.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
@@ -485,12 +473,8 @@ def path_matrix(cls, M: OperatorAssignment) -> np.ndarray:
     """Ordered matrix product along the class's edges, transposed where a
     real edge is traversed against its orientation."""
     prod = np.eye(M.dim, dtype=complex if M.fieldtag == "C" else float)
-    for step in cls.edges:
-        if M.fieldtag == "C":
-            prod = prod @ M.mats[step]
-        else:
-            e, p = step
-            prod = prod @ (M.mats[e] if p == 1 else M.mats[e].T)
+    for e, p in map(_signed, cls.edges):
+        prod = prod @ (M.mats[e] if p == 1 else M.mats[e].T)
     return prod
 
 
@@ -501,23 +485,18 @@ def loop_trace(cls, M: OperatorAssignment):
 
 
 def _incidence(G: MultiGraph, cls) -> dict:
-    """Vertex -> number of edge ends of the class at that vertex."""
+    """Test oracle: vertex -> number of edge ends of the class at that vertex."""
     inc: dict = {}
     for step in cls.edges:
-        a, b = G.edges[step if isinstance(step, int) else step[0]]
-        inc[a] = inc.get(a, 0) + 1
-        inc[b] = inc.get(b, 0) + 1
+        for v in G.edges[_signed(step)[0]]:
+            inc[v] = inc.get(v, 0) + 1
     return inc
 
 
-def _path_endpoints(G: MultiGraph, cls, fieldtag: str):
-    if fieldtag == "C":
-        first, last = cls.edges[0], cls.edges[-1]
-        return G.edges[first][0], G.edges[last][1]
-    (e0, p0), (e1, p1) = cls.edges[0], cls.edges[-1]
-    a = G.edges[e0][0] if p0 == 1 else G.edges[e0][1]
-    b = G.edges[e1][1] if p1 == 1 else G.edges[e1][0]
-    return a, b
+def _path_endpoints(G: MultiGraph, cls):
+    """Where the class's first step starts and its last step ends."""
+    (e0, p0), (e1, p1) = _signed(cls.edges[0]), _signed(cls.edges[-1])
+    return G.edges[e0][p0 < 0], G.edges[e1][p1 > 0]
 
 
 # --------------------------------------------------------------------------
@@ -531,22 +510,31 @@ class ExpansionResult:
     ledger: list[tuple[str, int, float | complex]]
     tail_majorant: float
 
-    def check_ledger(self) -> bool:
-        return sum(t[2] for t in self.ledger) == self.value
-
 
 def _site_coeffs(sites, lam: dict, fieldtag: str, d: int, jmax: int) -> list:
     """C_0 .. C_jmax of each site, in order."""
     return [[c_coeff(j, lam[v], fieldtag, d) for j in range(jmax + 1)] for v in sites]
 
 
-def _incidence_rows(G: MultiGraph, classes, sites) -> np.ndarray:
-    """(classes, sites) int16 count of each class's edge ends at each site."""
-    rows = np.zeros((len(classes), len(sites)), dtype=np.int16)
-    for r, c in enumerate(classes):
-        inc = _incidence(G, c)
-        rows[r] = [inc.get(v, 0) for v in sites]
-    return rows
+def _vertex_form(G: MultiGraph, sites) -> np.ndarray:
+    """(edges, sites) int16 count of each edge's ends at each site."""
+    col = {v: i for i, v in enumerate(sites)}
+    form = np.zeros((G.n_edges, len(col)), dtype=np.int16)
+    for e, ends in enumerate(G.edges):
+        for v in ends:
+            if v in col:
+                form[e, col[v]] += 1
+    return form
+
+
+def _class_sums(classes, form: np.ndarray) -> np.ndarray:
+    """(classes, columns) sum over each class's steps of its edge's row of
+    the per-edge `form`, in the form's dtype."""
+    lengths = [c.length for c in classes]
+    steps = np.fromiter((_signed(s)[0] for c in classes for s in c.edges),
+                        dtype=np.int64, count=sum(lengths))
+    return np.add.reduceat(form[steps], np.cumsum([0] + lengths, dtype=np.int64)[:-1],
+                           axis=0, dtype=form.dtype)
 
 
 def _multiset_table(lengths, feats: np.ndarray, max_total: int):
@@ -624,6 +612,8 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     """
     lam = dict(lam)
     fieldtag, d = M.fieldtag, M.dim
+    if max_total < 0:
+        raise DomainError("max_total must be nonnegative")
     if max_total > 40:
         raise ResourceError("max_total too large for class enumeration")
     classes = _enumerate_raw(G, max_total, fieldtag)
@@ -631,7 +621,7 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     lengths = [c.length for c in classes]
     # vertex incidences never exceed 2 * max_total
     coeffs = _site_coeffs(G.vertices, lam, fieldtag, d, max_total)
-    picks, inc = _multiset_table(lengths, _incidence_rows(G, classes, G.vertices),
+    picks, inc = _multiset_table(lengths, _class_sums(classes, _vertex_form(G, G.vertices)),
                                  max_total)
 
     edge_text = [str(list(c.edges)) for c in classes]
@@ -657,31 +647,18 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
 
 
 def _edge_transfer_radius(G: MultiGraph, fieldtag: str) -> float:
-    """Spectral radius of the edge-chaining transfer matrix; bounds the
-    number of closed edge sequences of length n by E * radius^n."""
-    E = G.n_edges
-    if E == 0:
+    """Spectral radius of the step-chaining transfer matrix A over the
+    `_move_table` letters, forward letters first: A[s, t] = 1 when step t
+    starts where step s ends.  Bounds the number of closed edge sequences
+    of length n by E * radius^n."""
+    vid = {v: i for i, v in enumerate(G.vertices)}
+    steps = sorted((fieldtag == "R" and not x & 1, x, vid[v], vid[w])
+                   for v, out in _move_table(G, fieldtag).items() for x, w in out)
+    if not steps:
         return 0.0
-    if fieldtag == "C":
-        A = np.zeros((E, E))
-        for e, (_, b) in enumerate(G.edges):
-            for f, (a2, _) in enumerate(G.edges):
-                if b == a2:
-                    A[e, f] = 1.0
-    else:
-        # doubled edge set: (e, +1) and (e, -1); self-loops only forward
-        items = [(e, 1) for e in range(E)] + [
-            (e, -1) for e in range(E) if not G.is_self_loop(e)]
-        A = np.zeros((len(items), len(items)))
-        ends = {i: (G.edges[e][1] if p == 1 else G.edges[e][0])
-                for i, (e, p) in enumerate(items)}
-        starts = {i: (G.edges[e][0] if p == 1 else G.edges[e][1])
-                  for i, (e, p) in enumerate(items)}
-        for i in ends:
-            for j in starts:
-                if ends[i] == starts[j]:
-                    A[i, j] = 1.0
-    return float(np.abs(np.linalg.eigvals(A)).max())
+    start, end = np.array([s[2:] for s in steps]).T
+    return float(np.abs(np.linalg.eigvals(
+        (end[:, None] == start[None, :]).astype(float))).max())
 
 
 def _tail_majorant(G: MultiGraph, M: OperatorAssignment, lam, T: int) -> float:
@@ -742,25 +719,24 @@ class QuadratureResult:
     error_estimate: float
 
 
-def _site_real_dim(fieldtag: str, d: int) -> int:
-    return 2 * d if fieldtag == "C" else d
+def _dimension_guard(sites, lam, fieldtag: str, d: int, what: str) -> None:
+    """Refuse a tensor quadrature over more than 6 real dimensions."""
+    dims = sum(2 * d if fieldtag == "C" else d for v in sites if lam[v].kind != "dirac0")
+    if dims > 6:
+        raise ResourceError(f"{what} dimension {dims} exceeds the guard 6")
 
 
 def _sphere_points(fieldtag: str, d: int, K: int):
     """Quadrature nodes/weights for the induced surface measure on the unit
     sphere of H; exact total mass."""
+    theta = 2.0 * math.pi * np.arange(K) / K  # the circle cut in K equal arcs
+    arc = 2.0 * math.pi / K
     if fieldtag == "C" and d == 1:
-        theta = 2.0 * math.pi * np.arange(K) / K
-        pts = np.exp(1j * theta)[:, None]
-        wts = np.full(K, 2.0 * math.pi / K)
-        return pts, wts
+        return np.exp(1j * theta)[:, None], np.full(K, arc)
     if fieldtag == "R" and d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if fieldtag == "R" and d == 2:
-        theta = 2.0 * math.pi * np.arange(K) / K
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        wts = np.full(K, 2.0 * math.pi / K)
-        return pts, wts
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(K, arc)
     if fieldtag == "C" and d == 2:
         # Hopf coordinates: (cos(eta) e^{i xi1}, sin(eta) e^{i xi2}),
         # surface measure = (1/2) dt dxi1 dxi2 with t = sin^2(eta)
@@ -768,30 +744,29 @@ def _sphere_points(fieldtag: str, d: int, K: int):
         t, wt = np.polynomial.legendre.leggauss(kt)
         t = 0.5 * (t + 1.0)
         wt = 0.5 * wt
-        xi = 2.0 * math.pi * np.arange(K) / K
-        wxi = 2.0 * math.pi / K
         pts, wts = [], []
         for ti, wi in zip(t, wt):
             c, s = math.sqrt(1.0 - ti), math.sqrt(ti)
-            for a in xi:
-                for b in xi:
+            for a in theta:
+                for b in theta:
                     pts.append([c * np.exp(1j * a), s * np.exp(1j * b)])
-                    wts.append(0.5 * wi * wxi * wxi)
+                    wts.append(0.5 * wi * arc * arc)
         return np.array(pts), np.array(wts)
     raise ResourceError(f"no sphere quadrature for field {fieldtag}, d={d}")
 
 
 def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
-               growth: float):
+               radius: Callable[[RadialMeasure], float]):
+    """Product nodes/weights of one site; a density's radial cutoff is
+    spec.radius, else radius(lam)."""
     if lam.kind == "dirac0":
         pts = np.zeros((1, d), dtype=complex if fieldtag == "C" else float)
         return pts, np.array([sphere_mass(fieldtag, d)])
     sph_pts, sph_wts = _sphere_points(fieldtag, d, spec.angular_nodes)
     if lam.kind == "discrete":
-        radii = np.array([s for (s, _) in lam.points])
-        rw = np.array([m for (_, m) in lam.points])
+        radii, rw = np.array(lam.points, dtype=float).reshape(-1, 2).T
     else:
-        R = spec.radius if spec.radius is not None else lam.radius_for(growth)
+        R = spec.radius if spec.radius is not None else radius(lam)
         x, w = np.polynomial.legendre.leggauss(spec.radial_nodes)
         radii = 0.5 * R * (x + 1.0)
         rw = 0.5 * R * w * np.array([lam.density(s) for s in radii])
@@ -800,39 +775,45 @@ def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
     return pts, wts
 
 
+def _grid_weights(grids, sites) -> np.ndarray:
+    """Product quadrature weight over `sites`, one axis per site in order."""
+    wgrid = np.ones(())
+    for v in sites:
+        wgrid = np.multiply.outer(wgrid, grids[v][1])
+    return wgrid
+
+
+def _pair_term(grids, sites, a, b, mat, fieldtag: str) -> np.ndarray:
+    """<phi_a, mat phi_b> on the product grid of `sites`, with axes of size 1
+    except at a and b (one axis when a == b)."""
+    pa, pb = grids[a][0], grids[b][0]
+    conj = pa.conj() if fieldtag == "C" else pa
+    ia, ib = sites.index(a), sites.index(b)
+    if ia == ib:
+        term = np.einsum("id,de,ie->i", conj, mat, pb)
+    else:
+        term = np.einsum("id,de,je->ij", conj, mat, pb)
+        term = term if ia < ib else term.T
+    shape = [1] * len(sites)
+    shape[ia], shape[ib] = len(pa), len(pb)
+    return term.reshape(shape)
+
+
 def _integrate_once(G: MultiGraph, M: OperatorAssignment, lam, spec: QuadratureSpec):
     fieldtag, d = M.fieldtag, M.dim
     verts = list(G.vertices)
     growth = sum(float(np.linalg.norm(m, 2)) for m in M.mats)
-    grids = {v: _site_grid(lam[v], fieldtag, d, spec, growth) for v in verts}
+    grids = {v: _site_grid(lam[v], fieldtag, d, spec, lambda m: m.radius_for(growth))
+             for v in verts}
     shapes = [len(grids[v][1]) for v in verts]
     total = int(np.prod(shapes))
     if total > 40_000_000:
         raise ResourceError(f"quadrature grid of {total} points too large")
     exponent = np.zeros(shapes, dtype=complex if fieldtag == "C" else float)
     for e, (a, b) in enumerate(G.edges):
-        ia, ib = verts.index(a), verts.index(b)
-        Me = M.mats[e]
-        pa, pb = grids[a][0], grids[b][0]
-        conj = pa.conj() if fieldtag == "C" else pa
-        shape = [1] * len(verts)
-        if G.is_self_loop(e):
-            term = np.einsum("id,de,ie->i", conj, Me, pa)
-            if fieldtag == "R":
-                term = 0.5 * term
-            shape[ia] = shapes[ia]
-        else:
-            term = np.einsum("id,de,je->ij", conj, Me, pb)
-            shape[ia], shape[ib] = shapes[ia], shapes[ib]
-            if ia > ib:
-                term = term.T
-        exponent = exponent + term.reshape(shape)
-    wgrid = np.ones(shapes)
-    for i, v in enumerate(verts):
-        shape = [1] * len(verts)
-        shape[i] = shapes[i]
-        wgrid = wgrid * grids[v][1].reshape(shape)
-    vals = np.exp(exponent) * wgrid
+        term = _pair_term(grids, verts, a, b, M.mats[e], fieldtag)
+        exponent = exponent + (0.5 * term if fieldtag == "R" and a == b else term)
+    vals = np.exp(exponent) * _grid_weights(grids, verts)
     out = vals.sum()
     return complex(out) if fieldtag == "C" else float(out)
 
@@ -846,16 +827,13 @@ def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
     error estimate and a non-convergent refinement raises NumericalError.
     """
     lam = dict(lam)
-    dims = sum(_site_real_dim(M.fieldtag, M.dim)
-               for v in G.vertices if lam[v].kind != "dirac0")
-    if dims > 6:
-        raise ResourceError(f"total real dimension {dims} exceeds the guard 6")
+    _dimension_guard(G.vertices, lam, M.fieldtag, M.dim, "total real")
     v1 = _integrate_once(G, M, lam, spec)
     if not spec.refine:
         return QuadratureResult(v1, math.nan)
-    fine = QuadratureSpec(2 * spec.radial_nodes, 2 * spec.angular_nodes,
-                          spec.radius, False, spec.rtol, spec.atol)
-    v2 = _integrate_once(G, M, lam, fine)
+    v2 = _integrate_once(G, M, lam, replace(spec, radial_nodes=2 * spec.radial_nodes,
+                                            angular_nodes=2 * spec.angular_nodes,
+                                            refine=False))
     err = abs(v2 - v1)
     if err > max(spec.atol, spec.rtol * abs(v2)):
         raise NumericalError(
@@ -879,11 +857,11 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
     """
     lam = dict(lam)
     fieldtag, d = M.fieldtag, M.dim
+    if max_total < 0:
+        raise DomainError("max_total must be nonnegative")
     Vbar = set(Vbar)
     W = [v for v in G.vertices if v not in Vbar]
-    dims = sum(_site_real_dim(fieldtag, d) for v in W if lam[v].kind != "dirac0")
-    if dims > 6:
-        raise ResourceError(f"remaining-site dimension {dims} exceeds the guard 6")
+    _dimension_guard(W, lam, fieldtag, d, "remaining-site")
 
     loops = _enumerate_raw(G, max_total, fieldtag, restrict_to=Vbar)
     paths = enumerate_path_classes(G, max_total, fieldtag, inner=Vbar, endpoints=W)
@@ -892,40 +870,14 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
     # path products are polynomial in phi of degree <= 2 max_total per site:
     # enough angular nodes make the sphere quadrature exact, and the radial
     # radius must capture moment(max_total)
-    def grid_for(v):
-        lam_v = lam[v]
-        radius = spec.radius
-        if lam_v.kind == "density" and radius is None:
-            radius = lam_v.radius_for_moment(max(1, max_total))
-        s = QuadratureSpec(max(spec.radial_nodes, max_total + 8),
-                           max(spec.angular_nodes, 2 * max_total + 4),
-                           radius, spec.refine, spec.rtol, spec.atol)
-        return _site_grid(lam_v, fieldtag, d, s, growth=0.0)
-
-    grids = {v: grid_for(v) for v in W}
-    shapes = [len(grids[v][1]) for v in W]
-    wgrid = np.ones(shapes) if W else None
-    for i, v in enumerate(W):
-        shape = [1] * len(W)
-        shape[i] = shapes[i]
-        wgrid = wgrid * grids[v][1].reshape(shape)
-
+    exact = replace(spec, radial_nodes=max(spec.radial_nodes, max_total + 8),
+                    angular_nodes=max(spec.angular_nodes, 2 * max_total + 4))
+    grids = {v: _site_grid(lam[v], fieldtag, d, exact,
+                           lambda m: m.radius_for_moment(max(1, max_total))) for v in W}
+    wgrid = _grid_weights(grids, W)
     # per path class: gamma(M, phi)/S as an array over the W grid
-    path_arrays = []
-    for c in paths:
-        a, b = _path_endpoints(G, c, fieldtag)
-        mat = path_matrix(c, M)
-        pa, pb = grids[a][0], grids[b][0]
-        arr2 = np.einsum("id,de,je->ij", pa.conj() if fieldtag == "C" else pa, mat, pb)
-        ia, ib = W.index(a), W.index(b)
-        shape = [1] * len(W)
-        if ia == ib:
-            arr = np.diagonal(arr2)
-            shape[ia] = shapes[ia]
-        else:
-            arr = arr2 if ia < ib else arr2.T
-            shape[ia], shape[ib] = shapes[ia], shapes[ib]
-        path_arrays.append((arr / c.S).reshape(shape))
+    path_arrays = [_pair_term(grids, W, *_path_endpoints(G, c), path_matrix(c, M),
+                              fieldtag) / c.S for c in paths]
 
     sites = list(Vbar)
     coeffs = _site_coeffs(sites, lam, fieldtag, d, max_total)
@@ -935,7 +887,7 @@ def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
                    + [(c.length, False, f, c) for c, f in zip(paths, path_arrays)],
                    key=lambda t: t[0])
     picks, inc = _multiset_table([t[0] for t in items],
-                                 _incidence_rows(G, [t[3] for t in items], sites),
+                                 _class_sums([t[3] for t in items], _vertex_form(G, sites)),
                                  max_total)
 
     out = 0.0 + 0.0j if fieldtag == "C" else 0.0
@@ -1032,14 +984,12 @@ def _step_forms(G: MultiGraph, geom: LatticeGeometry) -> np.ndarray:
     has entries in [-16, 16] (an incidence is at most 2 * max_len).
     """
     n = geom.n
-    index = {v: i for i, v in enumerate(G.vertices)}
-    form = np.zeros((G.n_edges, n * n + len(index)), dtype=np.int8)
+    form = np.zeros((G.n_edges, n * n + len(G.vertices)), dtype=np.int8)
     for e, (a, b) in enumerate(G.edges):
         if a[0] == b[0]:
             row = geom.plaquette_index(0, min(a[1], b[1]))
             form[e, row:row + a[0]] = 1 if b[1] == a[1] + 1 else -1
-        form[e, n * n + index[a]] += 1
-        form[e, n * n + index[b]] += 1
+    form[:, n * n:] = _vertex_form(G, G.vertices)
     return form
 
 
@@ -1092,13 +1042,8 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     cj = np.array([c_coeff(j, lam, "C", 1) for j in range(max_len + 1)])
 
     # a class's winding and incidence: the sum of its steps' forms
-    lengths = [c.length for c in classes]
-    steps = np.fromiter((e for c in classes for e in c.edges), dtype=np.int64,
-                        count=sum(lengths))
-    feats = np.add.reduceat(_step_forms(G, geom)[steps],
-                            np.cumsum([0] + lengths, dtype=np.int64)[:-1], axis=0,
-                            dtype=np.int8)
-    picks, feat = _multiset_table(lengths, feats, max_len)
+    picks, feat = _multiset_table([c.length for c in classes],
+                                  _class_sums(classes, _step_forms(G, geom)), max_len)
     # each row's prod 1 / (m! S^m), divided out one pick (one level) at a
     # time; the padding pick (-1, -1) reads the last entry of `div`, 1.0,
     # and dividing by 1.0 leaves every bit as it is

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -86,22 +87,61 @@ def test_gaugefix_and_norms(tmp_path):
     assert rep["norm_full"] == rep["norm_gr"] + rep["seminorm_rho"]
 
 
+def _loopexp(tmp_path, graph, max_total="4", tag="out"):
+    gpath = str(tmp_path / f"{tag}.json")
+    with open(gpath, "w") as f:
+        json.dump(graph, f)
+    out = str(tmp_path / tag)
+    code = run(["loopexp", "--graph", gpath, "--max-total", max_total, "--out", out])
+    return code, os.path.join(out, "ledger.csv")
+
+
 def test_loopexp_cli(tmp_path):
     graph = {
         "field": "C", "dim": 1, "vertices": ["x"],
         "edges": [{"from": "x", "to": "x", "value": 0.3}],
         "measures": {"x": {"kind": "gaussian_type"}},
     }
-    gpath = str(tmp_path / "graph.json")
-    with open(gpath, "w") as f:
-        json.dump(graph, f)
-    out = str(tmp_path / "out")
-    assert run(["loopexp", "--graph", gpath, "--max-total", "12",
-                "--out", out]) == 0
-    ledger = read(os.path.join(out, "ledger.csv")).decode().splitlines()
+    code, path = _loopexp(tmp_path, graph, max_total="12")
+    assert code == 0
+    ledger = read(path).decode().splitlines()
     assert ledger[0] == "multiset,total_length,contribution_re,contribution_im"
     total = sum(float(line.split(",")[-2]) for line in ledger[1:])
     assert total == pytest.approx(2 * np.pi / 0.7, rel=1e-3)
+
+
+def _real_graph(entry):
+    return {"field": "R", "dim": 1, "vertices": ["x"],
+            "edges": [{"from": "x", "to": "x", "matrix": [[entry]]}]}
+
+
+def test_loopexp_real_field_refuses_imaginary_part(tmp_path, capsys):
+    code, ledger = _loopexp(tmp_path, _real_graph([0.1, 0.5]))
+    assert code == 2
+    assert "not real" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+def test_loopexp_real_field_casts_exactly_real_entries(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, ledger = _loopexp(tmp_path, _real_graph([0.1, 0.0]), tag="pair")
+    assert code == 0
+    plain, plain_ledger = _loopexp(tmp_path, _real_graph(0.1), tag="plain")
+    assert plain == 0 and read(ledger) == read(plain_ledger)
+
+
+def test_loopexp_negative_max_total_is_usage_error(tmp_path, capsys):
+    graph = {"field": "C", "dim": 1, "vertices": ["x"],
+             "edges": [{"from": "x", "to": "x", "value": 0.3}]}
+    code, ledger = _loopexp(tmp_path, graph, max_total="-3")
+    assert code == 2
+    assert "max_total" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+    code, ledger = _loopexp(tmp_path, graph, max_total="0", tag="zero")
+    assert code == 0  # max_total 0 is the empty multiset alone
+    assert [line.split(",")[:2] for line in read(ledger).decode().splitlines()[1:]] == [
+        ['"empty"', "0"]]
 
 
 def test_verify_cli_pass_and_exit_codes(tmp_path):

@@ -9,13 +9,11 @@ from scipy import integrate
 from u1higgs import loop_expansion
 from u1higgs.lattice_geom import DomainError, ResourceError, build_lattice
 from u1higgs.loop_expansion import (
-    ComplexLoopClass,
+    EdgeClass,
     MultiGraph,
     OperatorAssignment,
-    PathClass,
     QuadratureSpec,
     RadialMeasure,
-    RealLoopClass,
     brute_force_integral,
     c_coeff,
     check_log_convex_moments,
@@ -31,11 +29,15 @@ from u1higgs.loop_expansion import (
     sphere_mass,
 )
 from u1higgs.loop_expansion import (
+    _class_sums,
+    _edge_transfer_radius,
     _enumerate_raw,
     _incidence,
-    _incidence_rows,
+    _move_table,
     _multiset_table,
+    _path_endpoints,
     _real_orbit,
+    _vertex_form,
     enumerate_path_classes,
 )
 from u1higgs.sampler import PotentialSpec
@@ -154,11 +156,12 @@ def test_canonicalization_orbit_stabilizer_real():
 
 
 def test_path_not_returned_as_loop():
-    # self-loop graph, complex: classes of length 1..3 are loops only; the
-    # length-1 path is a separate object not produced here
-    G = _self_loop_graph()
-    classes = enumerate_loop_classes(G, 3, "C")
-    assert all(isinstance(c, ComplexLoopClass) for c in classes)
+    # every loop class is closed: its last step ends where its first step
+    # starts (open paths come only from enumerate_path_classes)
+    G = MultiGraph(("x", "y"), (("x", "x"), ("x", "y"), ("y", "x"), ("x", "y")))
+    for fieldtag in ("C", "R"):
+        classes = enumerate_loop_classes(G, 4, fieldtag)
+        assert classes and all(a == b for a, b in (_path_endpoints(G, c) for c in classes))
 
 
 def test_enumeration_budget_guard():
@@ -195,11 +198,11 @@ def _canonicalising_classes(G, max_len, fieldtag, restrict_to=None):
             if fieldtag == "C":
                 canon = min(walk[r:] + walk[:r] for r in range(len(walk)))
                 S = sum(1 for r in range(len(canon)) if canon[r:] + canon[:r] == canon)
-                classes.setdefault(canon, ComplexLoopClass(canon, S))
+                classes.setdefault(canon, EdgeClass(canon, S))
             else:
                 canon = min(_real_orbit(G, walk))
                 S = sum(1 for t in _real_orbit(G, canon) if t == canon)
-                classes.setdefault(canon, RealLoopClass(canon, S))
+                classes.setdefault(canon, EdgeClass(canon, S))
         if len(seq) < max_len:
             for (e, p, nxt) in out_by_vertex[cur]:
                 seq.append(e if fieldtag == "C" else (e, p))
@@ -248,10 +251,10 @@ def _path_classes_oracle(G, max_len, fieldtag, inner, endpoints):
                     G.is_self_loop(e) or G.is_self_loop(edge_of(seq[0])))):
                 key = tuple(seq)
                 if fieldtag == "C":
-                    classes.setdefault(key, PathClass(key, 1))
+                    classes.setdefault(key, EdgeClass(key, 1))
                 else:
                     rev = tuple((f, 1 if G.is_self_loop(f) else -q) for (f, q) in reversed(key))
-                    classes.setdefault(min(key, rev), PathClass(min(key, rev),
+                    classes.setdefault(min(key, rev), EdgeClass(min(key, rev),
                                                                 2 if key == rev else 1))
             if len(seq) < max_len and not (len(seq) == 1 and G.is_self_loop(e)):
                 dfs(nxt, seq)
@@ -271,6 +274,44 @@ def test_path_classes_match_oracle(fieldtag):
                     == _path_classes_oracle(G, 6, fieldtag, inner, outer))
 
 
+@pytest.mark.parametrize("fieldtag", ["C", "R"])
+def test_class_sums_match_incidence_oracle(fieldtag):
+    for G in _corpus_graphs():
+        classes = (_enumerate_raw(G, 5, fieldtag)
+                   + enumerate_path_classes(G, 5, fieldtag, {"x"}, set(G.vertices) - {"x"}))
+        for sites in (list(G.vertices), ["x"], []):
+            assert _class_sums(classes, _vertex_form(G, sites)).tolist() == [
+                [_incidence(G, c).get(v, 0) for v in sites] for c in classes]
+
+
+def _letter_transfer_matrix(G, fieldtag):
+    """A[s, t] = 1 when letter t of `_move_table` starts where letter s ends,
+    forward letters first (for R, 2e + 1 before 2e)."""
+    letters = sorted((fieldtag == "R" and x % 2 == 0, x, v, w)
+                     for v, out in _move_table(G, fieldtag).items() for x, w in out)
+    A = np.zeros((len(letters), len(letters)), dtype=np.int64)
+    for i, (_, _, _, end) in enumerate(letters):
+        for j, (_, _, start, _) in enumerate(letters):
+            A[i, j] = int(end == start)
+    return A
+
+
+@pytest.mark.parametrize("fieldtag", ["C", "R"])
+def test_transfer_matrix_counts_classes(fieldtag):
+    # the identity behind the tail majorant's class sums: over the classes
+    # of length n, sum 1/S = tr(A^n)/n (C, orbit size n/S) or tr(A^n)/(2n)
+    # (R, orbit size 2n/S)
+    for G in _corpus_graphs() + [interior_bond_graph(build_lattice(2))]:
+        A = _letter_transfer_matrix(G, fieldtag)
+        classes = _enumerate_raw(G, 6, fieldtag)
+        for n in range(1, 7):
+            got = sum(Fraction(1, c.S) for c in classes if c.length == n)
+            trace = int(np.trace(np.linalg.matrix_power(A, n)))
+            assert got == Fraction(trace, n if fieldtag == "C" else 2 * n)
+        assert _edge_transfer_radius(G, fieldtag) == np.abs(
+            np.linalg.eigvals(A.astype(float))).max()
+
+
 # ---------------------------------------------------------------- loop_trace
 
 def test_trace_scalar_self_loop():
@@ -286,9 +327,9 @@ def test_trace_cyclic_invariance():
     G = MultiGraph(("x", "y"), (("x", "y"), ("y", "x")))
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
     M = OperatorAssignment("C", 2, tuple(mats), G)
-    c = ComplexLoopClass((0, 1, 0, 1), 2)
+    c = EdgeClass((0, 1, 0, 1), 2)
     t = loop_trace(c, M)
-    rotated = ComplexLoopClass((1, 0, 1, 0), 2)
+    rotated = EdgeClass((1, 0, 1, 0), 2)
     assert loop_trace(rotated, M) == pytest.approx(t, abs=1e-12)
 
 
@@ -297,9 +338,9 @@ def test_trace_reversal_invariance_real():
     G = MultiGraph(("x", "y"), (("x", "y"), ("y", "x")))
     mats = [rng.normal(size=(2, 2)) for _ in range(2)]
     M = OperatorAssignment("R", 2, tuple(mats), G)
-    fwd = RealLoopClass(((0, 1), (1, 1)), 1)
+    fwd = EdgeClass(((0, 1), (1, 1)), 1)
     # reversal with transposed matrices: Tr(A) = Tr(A^T)
-    bwd = RealLoopClass(((1, -1), (0, -1)), 1)
+    bwd = EdgeClass(((1, -1), (0, -1)), 1)
     assert loop_trace(fwd, M) == pytest.approx(loop_trace(bwd, M), abs=1e-12)
 
 
@@ -426,7 +467,6 @@ def test_expansion_ledger_consistency():
     M = OperatorAssignment.scalars(G, [0.3], "C")
     res = expansion_value(G, M, {"x": GAUSS}, 12)
     assert sum(t[2] for t in res.ledger) == res.value
-    assert res.check_ledger()
 
 
 def _bounded_multisets(lengths, max_total):
@@ -465,7 +505,7 @@ def test_multiset_engine_matches_itertools(fieldtag, edges, max_total):
     classes = enumerate_loop_classes(G, max_total, fieldtag)
     lengths = [c.length for c in classes]
     incidences = [_incidence(G, c) for c in classes]
-    picks, inc = _multiset_table(lengths, _incidence_rows(G, classes, G.vertices),
+    picks, inc = _multiset_table(lengths, _class_sums(classes, _vertex_form(G, G.vertices)),
                                  max_total)
     pairs = [list(zip(row[0::2], row[1::2])) for row in picks.tolist()]
     seen = [tuple((ci, m) for ci, m in row if ci >= 0) for row in pairs]
@@ -578,6 +618,16 @@ def test_partial_expansion_real_three_way():
     vals = [partial_expansion(G, M, lam, vb, 14) for vb in (set(), {"x"}, {"x", "y"})]
     assert vals[0] == pytest.approx(vals[2], rel=1e-6)
     assert vals[1] == pytest.approx(vals[2], rel=1e-6)
+
+
+def test_negative_max_total_refused():
+    G = _self_loop_graph()
+    M = OperatorAssignment.scalars(G, [0.3], "C")
+    with pytest.raises(DomainError):
+        expansion_value(G, M, {"x": GAUSS}, -1)
+    with pytest.raises(DomainError):
+        partial_expansion(G, M, {"x": GAUSS}, {"x"}, -1)
+    assert partial_expansion(G, M, {"x": GAUSS}, {"x"}, 0) == c_coeff(0, GAUSS, "C", 1)
 
 
 def test_partial_dimension_guard():
