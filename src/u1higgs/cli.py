@@ -223,6 +223,13 @@ def _parse_matrix(entry, dim):
     return M
 
 
+def _graph_key(obj, key, where):
+    """obj[key] from the graph file; a missing key is a usage error naming it."""
+    if key not in obj:
+        raise ConfigurationError(f"graph file: {where} has no {key!r} key")
+    return obj[key]
+
+
 def _parse_measure(spec):
     kind = spec.get("kind", "gaussian_type")
     if kind == "gaussian_type":
@@ -239,11 +246,14 @@ def cmd_loopexp(args):
         desc = json.load(f)
     fieldtag = desc.get("field", "C")
     dim = int(desc.get("dim", 1))
-    vertices = tuple(desc["vertices"])
-    edges = tuple((e["from"], e["to"]) for e in desc["edges"])
+    vertices = tuple(_graph_key(desc, "vertices", "the graph"))
+    edge_descs = _graph_key(desc, "edges", "the graph")
+    edges = tuple((_graph_key(e, "from", f"edge {i}"), _graph_key(e, "to", f"edge {i}"))
+                  for i, e in enumerate(edge_descs))
     G = MultiGraph(vertices, edges)
     mats = tuple(_parse_matrix(e["matrix"], dim) if "matrix" in e
-                 else np.array([[e["value"]]]) for e in desc["edges"])
+                 else np.array([[_graph_key(e, "value", f"edge {i} (no \"matrix\")")]])
+                 for i, e in enumerate(edge_descs))
     M = OperatorAssignment(fieldtag, dim, mats, G)
     lam = {v: _parse_measure(desc.get("measures", {}).get(str(v), {}))
            for v in vertices}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .gauge_core import GaugeField, axial_angles, covariant_precision, psi
+from .gauge_core import GaugeField, _stencil_tables, covariant_precision, psi, wrap_angle
 from .lattice_geom import DomainError, LatticeGeometry
 from .loop_expansion import (
     NumericalError,
@@ -146,38 +146,95 @@ ESS_WARN_FRACTION = 0.1
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def _complex_normals(gens, count: int, m: int) -> np.ndarray:
-    """(B, count, m) standard complex normals, row b drawn from gens[b]:
-    `count * m` real parts, then as many imaginary parts."""
-    z = np.empty((len(gens), count, m), dtype=complex)
-    for zb, g in zip(z, gens):
-        zb.real, zb.imag = g.standard_normal((2, count, m)) * math.sqrt(0.5)
-    return z
+class _MCKernel:
+    """Importance-sampling log-weights, shape (B, n_is), of B fields at scale N.
 
-
-def _mc_log_weights(P: np.ndarray, z: np.ndarray, pot: PotentialSpec,
-                    ztrtrs) -> np.ndarray:
-    """Importance-sampling log-weights, shape (B, n_is), for a batch of
-    precisions P (B, m, m) and standard complex normals z (B, n_is, m).
-    `ztrtrs` is scipy.linalg.lapack.ztrtrs, which the Monte Carlo weight
-    model imports once: SciPy's linalg takes about 0.5 s to load.
-
-    Sample phi = L^-H z ~ CN(0, P^-1) with P = L L^H; its log-weight is
-    log D-density minus log proposal density,
+    Field b's precision P = I - 2^-2N Lap_g = L L^H is factored in place by
+    LAPACK's zpotrf; phi = L^-H z ~ CN(0, P^-1) for standard complex normals
+    z drawn from gens[b] (n_is * m real parts, then as many imaginary parts);
+    its log-weight is log D-density minus log proposal density,
     m log(2 pi) - log det P + sum_x (|phi_x|^2 - V(|phi_x|)).
+
+    Built once per weight model: it imports SciPy's LAPACK (SciPy's linalg
+    takes about 0.5 s to load), and it holds the axial precision, whose
+    horizontal hops are fixed, as a template into which each call writes only
+    the vertical-bond phases.  Each field's precision is stored column-major
+    (entry (x, y) at the row-major position of (y, x)), so that zpotrf
+    factors it and ztrtrs solves into the normals without a copy.  Work
+    buffers are kept per batch size and overwritten by the next call; the
+    returned log-weights are a fresh array.
     """
-    L = np.linalg.cholesky(P)
-    m = P.shape[-1]
-    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
-    r = np.empty(z.shape)
-    for b in range(len(L)):
-        phi, info = ztrtrs(L[b], z[b].T, lower=1, trans=2)
-        if info:
-            raise NumericalError(f"triangular solve failed (info {info})")
-        r[b] = np.abs(phi.T)
-    r2 = r * r
-    V = r2 * r2 - pot.c * r2 if pot.kind == "quartic" else np.vectorize(pot.evaluate)(r)
-    return m * math.log(TWO_PI) - logdet[:, None] + (r2 - V).sum(axis=-1)
+
+    def __init__(self, N: int, pot: PotentialSpec, n_is: int):
+        from scipy.linalg.lapack import zpotrf, ztrtrs
+        self._zpotrf, self._ztrtrs = zpotrf, ztrtrs
+        self.pot, self.n_is = pot, n_is
+        n = 1 << N
+        self.m = (n - 1) ** 2
+        dpos, fwd, bwd, bond = _stencil_tables(n)
+        vert = bond >= n * (n + 1)
+        phase = np.exp(1j * np.zeros(np.count_nonzero(~vert)))
+        self._template = np.zeros(self.m * self.m, dtype=complex)
+        self._template[dpos] = 5.0
+        self._template[bwd[~vert]] = -1.0 * phase
+        self._template[fwd[~vert]] = -1.0 * phase.conj()
+        # vertical bond (k1, k2) -> (k1, k2 + 1) carries sum_{c<k1} X[c, k2],
+        # the flat entry (k1 - 1) * n + k2 of the column cumsum of X
+        self._vert_fwd, self._vert_bwd = bwd[vert], fwd[vert]
+        self._vert_x = bond[vert] - n * (n + 2)
+        self._buffers = {}
+
+    def _work(self, B: int):
+        if B not in self._buffers:
+            shape = (B, self.n_is, self.m)
+            self._buffers[B] = (np.empty((B, self.m * self.m), dtype=complex),
+                                np.empty((B, 2, self.n_is, self.m)),
+                                np.empty(shape, dtype=complex),
+                                np.empty(shape), np.empty(shape), np.empty(shape))
+        return self._buffers[B]
+
+    def axial(self, X: np.ndarray, gens) -> np.ndarray:
+        """Log-weights of the axial-gauge fields with plaquette angles X (B, n, n)."""
+        B = len(X)
+        P = self._work(B)[0]
+        cum = np.cumsum(X, axis=-2).reshape(B, -1)
+        phase = np.exp(1j * wrap_angle(cum[:, self._vert_x]))
+        P[:] = self._template
+        P[:, self._vert_fwd] = -1.0 * phase
+        P[:, self._vert_bwd] = -1.0 * phase.conj()
+        return self._log_w(gens)
+
+    def field(self, g: GaugeField, gen: np.random.Generator) -> np.ndarray:
+        """Log-weights (n_is,) of one field in any gauge, drawn from gen."""
+        P = self._work(1)[0]
+        P.reshape(1, self.m, self.m).transpose(0, 2, 1)[:] = \
+            covariant_precision(g.geom.N, g.theta_h[None], g.theta_v[None])
+        return self._log_w([gen])[0]
+
+    def _log_w(self, gens) -> np.ndarray:
+        B, m = len(gens), self.m
+        P, normals, z, r, r2, V = self._work(B)
+        for normals_b, gen in zip(normals, gens):
+            gen.standard_normal(out=normals_b)
+        normals *= math.sqrt(0.5)
+        z.real, z.imag = normals[:, 0], normals[:, 1]
+        P = P.reshape(B, m, m).transpose(0, 2, 1)
+        for b in range(B):
+            L, info = self._zpotrf(P[b], lower=1, clean=0, overwrite_a=1)
+            if info:
+                raise NumericalError(f"Cholesky factorization failed (info {info})")
+            _, info = self._ztrtrs(L, z[b].T, lower=1, trans=2, overwrite_b=1)
+            if info:
+                raise NumericalError(f"triangular solve failed (info {info})")
+        logdet = 2.0 * np.log(np.diagonal(P, axis1=1, axis2=2).real).sum(axis=1)
+        np.abs(z, out=r)
+        np.multiply(r, r, out=r2)
+        if self.pot.kind == "quartic":
+            np.multiply(r2, r2, out=V)
+            np.subtract(V, np.multiply(self.pot.c, r2, out=r), out=V)
+        else:
+            V[:] = np.vectorize(self.pot.evaluate)(r)
+        return m * math.log(TWO_PI) - logdet[:, None] + np.subtract(r2, V, out=V).sum(axis=-1)
 
 
 # method name -> largest N it accepts (quadrature is exact only at N = 1)
@@ -206,14 +263,7 @@ class _WeightModel:
         if method == "loop-expansion":
             self._wmat, self._cvec = higgs_loop_coefficients(geom, pot, max_len).weight_matrix()
         elif method == "monte-carlo":
-            from scipy.linalg.lapack import ztrtrs
-            self._ztrtrs = ztrtrs
-
-    def _mc_log_w(self, theta_h, theta_v, gens) -> np.ndarray:
-        """(B, n_is) importance log-weights of B fields, row b drawn from gens[b]."""
-        P = covariant_precision(self.geom.N, theta_h, theta_v)
-        return _mc_log_weights(P, _complex_normals(gens, self.n_is, P.shape[-1]), self.pot,
-                               self._ztrtrs)
+            self._kernel = _MCKernel(geom.N, pot, n_is)
 
     def log_weight(self, X: np.ndarray, gens) -> np.ndarray:
         """log D-hat for X of shape (..., n, n).  Monte Carlo takes a batch
@@ -228,7 +278,7 @@ class _WeightModel:
                 raise NumericalError("truncated loop expansion of the Higgs weight "
                                      "is not positive")
             return np.log(vals)
-        log_w = self._mc_log_w(*axial_angles(X), gens)
+        log_w = self._kernel.axial(X, gens)
         top = log_w.max(axis=1)
         out = top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
         if np.isnan(out).any():
@@ -251,7 +301,7 @@ class _WeightModel:
         n = self.n_is
         if n < 2:
             raise DomainError("MC estimator needs at least 2 importance samples")
-        log_w = self._mc_log_w(g.theta_h[None], g.theta_v[None], [rng])[0]
+        log_w = self._kernel.field(g, rng)
         top = float(log_w.max())
         s = np.exp(log_w - top)
         ess = float(s.sum() ** 2 / (s ** 2).sum())
@@ -333,16 +383,30 @@ class ChainResult:
         return self.X.reshape(-1, *self.X.shape[2:])
 
 
+IAT_LAG_CHUNK = 64  # autocorrelation lags computed per extension of the window
+
+
 def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
-    """Self-consistent windowed IAT estimate of a scalar series."""
+    """Self-consistent windowed IAT estimate of a scalar series.
+
+    The window stops near c * tau, so the autocorrelation is computed lazily,
+    IAT_LAG_CHUNK lags at a time, each lag as one dot product: O(n tau)
+    work instead of the O(n^2) of all n lags."""
     x = np.asarray(series, dtype=float)
     x = x - x.mean()
     n = len(x)
     if n < 8 or x.std() == 0.0:
         return 1.0
-    acf = np.correlate(x, x, mode="full")[n - 1:] / (x @ x)
+    norm = x @ x
+    acf = np.empty(n // 2)
+    filled = 0
     tau = 1.0
     for window in range(1, n // 2):
+        if window >= filled:
+            stop = min(filled + IAT_LAG_CHUNK, n // 2)
+            acf[filled:stop] = [np.dot(x[k:], x[:n - k]) for k in range(filled, stop)]
+            acf[filled:stop] /= norm
+            filled = stop
         tau = 1.0 + 2.0 * acf[1:window + 1].sum()
         if window >= c * tau:
             break

@@ -144,6 +144,22 @@ def test_loopexp_negative_max_total_is_usage_error(tmp_path, capsys):
         ['"empty"', "0"]]
 
 
+@pytest.mark.parametrize("drop", ["vertices", "edges", "from", "to", "value"])
+def test_loopexp_missing_graph_key_is_usage_error(drop, tmp_path, capsys):
+    # a missing key used to end loopexp in a KeyError traceback with exit 1,
+    # the code reserved for a failed verdict
+    graph = {"field": "C", "dim": 1, "vertices": ["x"],
+             "edges": [{"from": "x", "to": "x", "value": 0.3}]}
+    if drop in graph:
+        del graph[drop]
+    else:
+        del graph["edges"][0][drop]
+    code, ledger = _loopexp(tmp_path, graph)
+    assert code == 2
+    assert f"no '{drop}' key" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
 def test_verify_cli_pass_and_exit_codes(tmp_path):
     out = str(tmp_path)
     code = run(["verify", "mgf", "--N", "2", "--eta", "0", "--samples", "1000",

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy import integrate, special, stats
 from scipy.linalg.lapack import ztrtrs
 
@@ -39,7 +41,7 @@ from u1higgs.sampler import (
     sample_pure,
     sample_pure_angles,
 )
-from u1higgs.sampler import _complex_normals, _mc_log_weights, _WeightModel
+from u1higgs.sampler import TWO_PI, _WeightModel
 
 # numpy overflow or invalid-value warnings are failures: every estimator
 # returns finite values or raises a typed error
@@ -204,22 +206,119 @@ def test_mc_weight_overflow_raises():
         higgs_weight_mc(g, PotentialSpec(c=80.0), stream(4), n_samples=256)
 
 
+def _no_mc_work(monkeypatch, message):
+    """Make every entry into Monte Carlo weight work raise AssertionError."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in ("covariant_precision", "_MCKernel"):
+        monkeypatch.setattr(sampler_module, name, no_work)
+    for name in ("zpotrf", "ztrtrs"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, no_work)
+    return no_work
+
+
 def test_mc_weight_refuses_above_max_scale(monkeypatch):
     # at N=4 the importance weights leave an ESS of 1-5 of 256 and at N>=5
-    # they overflow: N=4 is refused before a precision is built or a draw made
+    # they overflow: N=4 is refused before a kernel is built or a draw made
     assert MC_MAX_SCALE == 3
     geom = build_lattice(4)
     g = psi(geom, sample_pure_angles(geom, stream(5)))
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started above MC_MAX_SCALE")
-
-    monkeypatch.setattr(sampler_module, "covariant_precision", no_work)
-    monkeypatch.setattr(sampler_module, "_complex_normals", no_work)
+    _no_mc_work(monkeypatch, "work started above MC_MAX_SCALE")
     gen = stream(6)
     with pytest.raises(DomainError, match="N <= 3"):
         higgs_weight_mc(g, QUARTIC, gen, n_samples=256)
     assert gen.random() == stream(6).random()  # no draw was taken
+
+
+# ------------------------------------------------- Monte Carlo kernel oracle
+
+def _oracle_log_weights(P, gens, pot, n_is):
+    """(B, n_is) importance log-weights of the precisions P (B, m, m), the
+    normals of row b drawn from gens[b], by the expression the fused
+    `_MCKernel` must reproduce bit for bit: one complex array assembled per
+    row, numpy's batched Cholesky and one ztrtrs per row."""
+    m = P.shape[-1]
+    z = np.empty((len(gens), n_is, m), dtype=complex)
+    for zb, g in zip(z, gens):
+        zb.real, zb.imag = g.standard_normal((2, n_is, m)) * math.sqrt(0.5)
+    L = np.linalg.cholesky(P)
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
+    r = np.empty(z.shape)
+    for b in range(len(L)):
+        phi, info = ztrtrs(L[b], z[b].T, lower=1, trans=2)
+        assert info == 0
+        r[b] = np.abs(phi.T)
+    r2 = r * r
+    V = r2 * r2 - pot.c * r2 if pot.kind == "quartic" else np.vectorize(pot.evaluate)(r)
+    return m * math.log(TWO_PI) - logdet[:, None] + (r2 - V).sum(axis=-1)
+
+
+class _OracleKernel:
+    """Drop-in for `sampler._MCKernel` built on `_oracle_log_weights`."""
+
+    def __init__(self, N, pot, n_is):
+        self.N, self.pot, self.n_is = N, pot, n_is
+
+    def axial(self, X, gens):
+        P = covariant_precision(self.N, *axial_angles(X))
+        return _oracle_log_weights(P, gens, self.pot, self.n_is)
+
+    def field(self, g, gen):
+        P = covariant_precision(self.N, g.theta_h[None], g.theta_v[None])
+        return _oracle_log_weights(P, [gen], self.pot, self.n_is)[0]
+
+
+def _oracle_log_d(model, X, gens):
+    log_w = _OracleKernel(model.geom.N, model.pot, model.n_is).axial(X, gens)
+    top = log_w.max(axis=1)
+    return top + np.log(np.exp(log_w - top[:, None]).mean(axis=1))
+
+
+@pytest.mark.parametrize("N, n_is, c", itertools.product((1, 2, 3), (2, 64, 512),
+                                                         (0.9, 1.0, 3.0)))
+def test_mc_kernel_log_weight_equals_oracle(N, n_is, c):
+    # every batch size, twice each, so that reused work buffers are covered;
+    # the angles reach well past pi, where the vertical phases need wrapping
+    geom = build_lattice(N)
+    model = _WeightModel(geom, PotentialSpec(c=c), "monte-carlo", n_is=n_is)
+    for rep, B in itertools.product(range(2), (1, 2, 4)):
+        X = stream(60, N, rep, B).normal(0.0, 0.5 + rep, size=(B, geom.n, geom.n))
+        got = model.log_weight(X, [stream(61, N, rep, b) for b in range(B)])
+        want = _oracle_log_d(model, X, [stream(61, N, rep, b) for b in range(B)])
+        np.testing.assert_array_equal(got, want)
+
+
+def test_mc_kernel_custom_potential_equals_oracle():
+    # a custom potential is evaluated on |phi| itself, not on sqrt(|phi|^2)
+    pot = PotentialSpec("custom", func=lambda x: x ** 4 - 0.5 * x ** 3 + math.sin(x))
+    geom = build_lattice(2)
+    model = _WeightModel(geom, pot, "monte-carlo", n_is=16)
+    X = stream(62).normal(0.0, 0.5, size=(3, geom.n, geom.n))
+    got = model.log_weight(X, [stream(63, b) for b in range(3)])
+    np.testing.assert_array_equal(got, _oracle_log_d(model, X, [stream(63, b)
+                                                                for b in range(3)]))
+
+
+@pytest.mark.parametrize("N, n_chains", [(2, 4), (3, 2)])
+def test_mc_chain_equals_oracle_chain(N, n_chains, monkeypatch):
+    # tuning (one chain) and the chains (a batch) step through the same bits
+    cfg = ChainConfig(samples=25, burn_in=40, thin=2, n_chains=n_chains, seed=64, n_is=32)
+    res = sample_interacting(build_lattice(N), QUARTIC, cfg, method="monte-carlo")
+    monkeypatch.setattr(sampler_module, "_MCKernel", _OracleKernel)
+    ref = sample_interacting(build_lattice(N), QUARTIC, cfg, method="monte-carlo")
+    np.testing.assert_array_equal(res.X, ref.X)
+    np.testing.assert_array_equal(res.acceptance, ref.acceptance)
+    assert res.iat == ref.iat and res.proposal_std == ref.proposal_std
+
+
+def test_mc_estimate_of_non_axial_field_equals_oracle(monkeypatch):
+    # higgs_weight_mc builds the precision from the field's own bond angles
+    geom = build_lattice(2)
+    g = apply_gauge(GaugeField.random(geom, stream(65)), GaugeTransform.random(geom, stream(66)))
+    est = higgs_weight_mc(g, QUARTIC, stream(67), n_samples=300)
+    monkeypatch.setattr(sampler_module, "_MCKernel", _OracleKernel)
+    assert est == higgs_weight_mc(g, QUARTIC, stream(67), n_samples=300)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -238,8 +337,7 @@ def test_batched_precision_and_log_weight_match_single_field(N):
     model = _WeightModel(geom, QUARTIC, "monte-carlo", n_is=n_is)
     log_d = model.log_weight(X, [stream(50, b) for b in range(B)])
     for b in range(B):
-        z = _complex_normals([stream(50, b)], n_is, P.shape[-1])
-        log_w = _mc_log_weights(P[b:b + 1], z, QUARTIC, ztrtrs)[0]
+        log_w = _oracle_log_weights(P[b:b + 1], [stream(50, b)], QUARTIC, n_is)[0]
         expected = special.logsumexp(log_w) - math.log(n_is)
         assert log_d[b] == pytest.approx(expected, rel=1e-12, abs=1e-12)
         est = higgs_weight_mc(psi(geom, X[b]), QUARTIC, stream(50, b), n_is)
@@ -290,11 +388,8 @@ def test_chain_and_single_field_refuse_the_same_scale(method, N, monkeypatch):
     g = psi(geom, sample_pure_angles(geom, stream(5)))
     gen = stream(6)
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started above the method's scale limit")
-
-    for name in ("covariant_precision", "_complex_normals", "higgs_loop_coefficients",
-                 "higgs_site_measure"):
+    no_work = _no_mc_work(monkeypatch, "work started above the method's scale limit")
+    for name in ("higgs_loop_coefficients", "higgs_site_measure"):
         monkeypatch.setattr(sampler_module, name, no_work)
     monkeypatch.setattr(rng_module, "stream", no_work)
     single = {"monte-carlo": lambda: higgs_weight_mc(g, QUARTIC, gen, 256),
@@ -445,6 +540,45 @@ def test_diamagnetic_inequality_small_run():
     est = vals.mean()
     se = vals.std() / math.sqrt(len(vals) / max(res.iat, 1.0))
     assert est <= math.sqrt(2.0) + 3 * se
+
+
+def _oracle_iat(series, c=6.0):
+    """integrated_autocorr_time over all n lags of np.correlate, and whether
+    its window loop stopped before n // 2."""
+    x = np.asarray(series, dtype=float)
+    x = x - x.mean()
+    n = len(x)
+    if n < 8 or x.std() == 0.0:
+        return 1.0, False
+    acf = np.correlate(x, x, mode="full")[n - 1:] / (x @ x)
+    tau = 1.0
+    for window in range(1, n // 2):
+        tau = 1.0 + 2.0 * acf[1:window + 1].sum()
+        if window >= c * tau:
+            return float(max(tau, 1.0)), True
+    return float(max(tau, 1.0)), False
+
+
+def _ar1(n, rho, seed):
+    e = stream(seed).normal(size=n)
+    x = np.empty(n)
+    acc = 0.0
+    for k in range(n):
+        acc = rho * acc + e[k]
+        x[k] = acc
+    return x
+
+
+@pytest.mark.parametrize("series, stops", [
+    (np.arange(5.0), False), (np.full(40, 2.5), False), (np.arange(60.0), False),
+    (_ar1(50, 0.5, 70), True), (_ar1(700, 0.95, 71), True), (_ar1(20_000, 0.99, 72), True),
+    (_ar1(60_000, 0.9, 73), True)],
+    ids=["n<8", "constant", "never-stops", "ar50", "ar700", "ar20000", "ar60000"])
+def test_iat_equals_all_lags_oracle(series, stops):
+    # the lags are computed lazily in chunks; every tau is the same float
+    tau, stopped = _oracle_iat(series)
+    assert stopped == stops
+    assert integrated_autocorr_time(series) == tau
 
 
 def test_iat_reasonable_on_iid_series():
