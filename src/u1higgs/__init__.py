@@ -55,7 +55,6 @@ from .sampler import (  # noqa: F401
     heat_kernel_u1,
     higgs_weight,
     sample_interacting,
-    sample_pure,
 )
 from .mc_verify import (  # noqa: F401
     ExperimentResult,

@@ -214,12 +214,24 @@ def cmd_norms(args):
 
 # ---------------------------------------------------------------- loopexp
 
-def _parse_matrix(entry, dim):
+def _number(v, where):
+    """A real number or a [re, im] pair from the graph file; anything else is
+    a usage error naming where it stands."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(p, (int, float)) for p in parts):
+        raise DomainError(f"graph file: {where} {v!r} is not a number or [re, im] pair")
+    return v
+
+
+def _parse_matrix(entry, dim, where):
+    if not (isinstance(entry, list) and len(entry) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in entry)):
+        raise DomainError(f"graph file: {where} matrix is not {dim} x {dim}")
     M = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
-            v = entry[i][j]
-            M[i, j] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else v
+            v = _number(entry[i][j], f"{where} matrix entry")
+            M[i, j] = complex(v[0], v[1]) if isinstance(v, list) else v
     return M
 
 
@@ -230,14 +242,14 @@ def _graph_key(obj, key, where):
     return obj[key]
 
 
-def _parse_measure(spec):
+def _parse_measure(spec, where):
     kind = spec.get("kind", "gaussian_type")
     if kind == "gaussian_type":
         return RadialMeasure.gaussian_type()
     if kind == "dirac0":
         return RadialMeasure.dirac0()
     if kind == "discrete":
-        return RadialMeasure.discrete([tuple(p) for p in spec["points"]])
+        return RadialMeasure.discrete([tuple(p) for p in _graph_key(spec, "points", where)])
     raise DomainError(f"unsupported measure kind {kind!r} in graph file")
 
 
@@ -251,11 +263,12 @@ def cmd_loopexp(args):
     edges = tuple((_graph_key(e, "from", f"edge {i}"), _graph_key(e, "to", f"edge {i}"))
                   for i, e in enumerate(edge_descs))
     G = MultiGraph(vertices, edges)
-    mats = tuple(_parse_matrix(e["matrix"], dim) if "matrix" in e
-                 else np.array([[_graph_key(e, "value", f"edge {i} (no \"matrix\")")]])
+    mats = tuple(_parse_matrix(e["matrix"], dim, f"edge {i}") if "matrix" in e
+                 else np.array([[_number(_graph_key(e, "value", f"edge {i} (no \"matrix\")"),
+                                         f"edge {i} value")]])
                  for i, e in enumerate(edge_descs))
     M = OperatorAssignment(fieldtag, dim, mats, G)
-    lam = {v: _parse_measure(desc.get("measures", {}).get(str(v), {}))
+    lam = {v: _parse_measure(desc.get("measures", {}).get(str(v), {}), f"measure of {v!r}")
            for v in vertices}
     res = expansion_value(G, M, lam, args.max_total)
     out = _ensure_outdir(args)

@@ -113,26 +113,38 @@ class GaugeField:
             f.write("\n")
 
 
+def _field_key(obj, key, where):
+    """obj[key] from a gauge-field file; a missing key is a DomainError naming it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"gauge field file: {where} has no {key!r} key")
+    return obj[key]
+
+
 def load_gauge_field(obj) -> GaugeField:
-    """Load a gauge field from the JSON wire format, validating counts and range."""
+    """Load a gauge field from the JSON wire format, validating keys, bond
+    coordinates, counts and range."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    geom = build_lattice(int(obj["N"]))
+    geom = build_lattice(int(_field_key(obj, "N", "the file")))
     n = geom.n
     th = np.full((n, n + 1), np.nan)
     tv = np.full((n + 1, n), np.nan)
-    for b in obj["bonds"]:
-        k1, k2 = b["x"]
-        theta = float(b["theta"])
+    bonds = _field_key(obj, "bonds", "the file")
+    for i, b in enumerate(bonds):
+        x = _field_key(b, "x", f"bond {i}")
+        theta = float(_field_key(b, "theta", f"bond {i}"))
+        d = _field_key(b, "dir", f"bond {i}")
         if not (-np.pi < theta <= np.pi):
             raise DomainError(f"bond angle {theta} outside (-pi, pi]")
-        if b["dir"] == 1:
-            th[k1, k2] = theta
-        elif b["dir"] == 2:
-            tv[k1, k2] = theta
-        else:
-            raise DomainError(f"bad bond direction {b['dir']}")
-    if np.isnan(th).any() or np.isnan(tv).any() or len(obj["bonds"]) != geom.pos_bond_count:
+        if d not in (1, 2):
+            raise DomainError(f"bad bond direction {d}")
+        arr = th if d == 1 else tv
+        if not (isinstance(x, (list, tuple)) and len(x) == 2
+                and all(type(k) is int and 0 <= k < size for k, size in zip(x, arr.shape))):
+            raise DomainError(f"bond {i} at {x} in direction {d} lies outside "
+                              f"the N={geom.N} lattice")
+        arr[x[0], x[1]] = theta
+    if np.isnan(th).any() or np.isnan(tv).any() or len(bonds) != geom.pos_bond_count:
         raise DomainError("gauge field file does not cover every bond exactly once")
     return GaugeField(geom, th, tv)
 

@@ -93,12 +93,6 @@ def coarse_restrict(g: GaugeField, m: int) -> GaugeField:
     return GaugeField(build_lattice(m), wrap_angle(th), wrap_angle(tv))
 
 
-def axial_fix(g_m: GaugeField) -> GaugeTransform:
-    """Transform with u(0)=1 putting a scale-m field in the axial gauge."""
-    u, _ = to_axial(g_m)
-    return u
-
-
 def thin_rect_holonomy_sup(g_m: GaugeField, alpha: float) -> float:
     """sup over m-thin rectangles of |r|^(-alpha/2) |log g(dr)|.
 
@@ -313,8 +307,7 @@ def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
         u = GaugeTransform.identity(g.geom)
     else:
         g_m = coarse_restrict(g, used_m)
-        u_m = axial_fix(g_m)
-        g_m_fixed = apply_gauge(g_m, u_m)
+        u_m, g_m_fixed = to_axial(g_m)
         axial_sup = thin_rect_holonomy_sup(g_m, alpha)
         axial_max = g_m_fixed.max_bond_log()
         hyp_simple = fr.value * 2.0 ** (-(used_m + 1) * alpha / 2.0) < math.pi

@@ -506,7 +506,6 @@ def _path_endpoints(G: MultiGraph, cls):
 @dataclass
 class ExpansionResult:
     value: float | complex
-    truncation: int
     ledger: list[tuple[str, int, float | complex]]
     tail_majorant: float
 
@@ -643,7 +642,7 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     if fieldtag == "R":
         value = float(np.real(value))
     tail = _tail_majorant(G, M, lam, max_total)
-    return ExpansionResult(value, max_total, ledger, tail)
+    return ExpansionResult(value, ledger, tail)
 
 
 def _edge_transfer_radius(G: MultiGraph, fieldtag: str) -> float:
@@ -935,8 +934,6 @@ class HiggsLoopCoefficients:
     field sums coeff * Re(hol) over the stored winding vectors.
     """
 
-    geom: LatticeGeometry
-    max_len: int
     coeffs: dict[tuple[int, ...], float]
 
     def evaluate(self, g) -> float:
@@ -1064,4 +1061,4 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     values = _group_fsum(terms, winding_of, len(winding_row))
     coeffs = {tuple(w): float(c)
               for w, c in zip(groups[winding_row, :n2].tolist(), values)}
-    return HiggsLoopCoefficients(geom, max_len, coeffs)
+    return HiggsLoopCoefficients(coeffs)

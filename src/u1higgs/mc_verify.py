@@ -119,9 +119,11 @@ def _check_chain_scales(mode, N_list, method):
             check_weight_method(method, N)
 
 
-def _loop_setup(N, loop, mode):
-    """(geom, loop, omega, winding weights); the loop defaults to the half square."""
+def _loop_setup(N, loop, mode, method):
+    """(geom, loop, omega, winding weights); the loop defaults to the half square.
+    An interacting run's weight method and N are checked before the pure gate."""
     _check_mode(mode)
+    _check_chain_scales(mode, (N,), method)
     geom = build_lattice(N)
     if loop is None:
         loop = half_square_loop(geom)
@@ -156,7 +158,7 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
     """Pure gauge: E e^{eta B^2} equals (1 - 2 eta omega)^(-1/2) (two-sided).
     Interacting: E e^{eta A^2} is bounded by the same closed form (one-sided).
     """
-    geom, loop, om, w = _loop_setup(N, loop, mode)
+    geom, loop, om, w = _loop_setup(N, loop, mode, method)
     if not (0 <= eta < 0.5 / om):
         raise DomainError(f"eta = {eta} outside [0, 1/(2 omega)) with omega = {om}")
     reference = (1.0 - 2.0 * eta * om) ** (-0.5)
@@ -189,7 +191,7 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
     """P[|A| >= x] <= sqrt(2) e^{-x^2/(4 omega)} at every grid point
     (one-sided with binomial buffer); the pure mode also cross-checks the
     exact Gaussian tail."""
-    geom, loop, om, w = _loop_setup(N, loop, mode)
+    geom, loop, om, w = _loop_setup(N, loop, mode, method)
     params = {"N": N, "omega": om, "mode": mode}
     got = _loop_sums(verify_tail, x_grid, geom, loop, w, samples, mode, seed,
                      pot, method, chain_kw)
@@ -229,7 +231,7 @@ def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
     """E |sum_p l(p) log g(dp)|^q against the bound shape (C q sqrt(omega))^q
     with the calibration constant; the q = 2 pure value also checks omega.
     Growth in q is reported as a diagnostic."""
-    geom, loop, om, w = _loop_setup(N, loop, mode)
+    geom, loop, om, w = _loop_setup(N, loop, mode, method)
     params = {"N": N, "omega": om, "mode": mode}
     # log g(dp) is the wrapped plaquette angle
     got = _loop_sums(verify_plaquette_sum_moments, q_list, geom, loop, w, samples,

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .gauge_core import GaugeField, _stencil_tables, covariant_precision, psi, wrap_angle
+from .gauge_core import GaugeField, _stencil_tables, covariant_precision, wrap_angle
 from .lattice_geom import DomainError, LatticeGeometry
 from .loop_expansion import (
+    HIGGS_MAX_LEN,
     NumericalError,
     c_coeff,
     higgs_loop_coefficients,
@@ -77,12 +78,6 @@ class PotentialSpec:
 # pure gauge theory
 # --------------------------------------------------------------------------
 
-@dataclass
-class PureGaugeSample:
-    X: np.ndarray          # (n, n) plaquette angles
-    g: GaugeField          # axial-gauge field with g(dp) = e^{i X_p}
-
-
 def sample_pure_angles(geom: LatticeGeometry, rng: np.random.Generator,
                        count: int | None = None) -> np.ndarray:
     """i.i.d. centred Gaussian plaquette angles with variance 2^-2N."""
@@ -90,11 +85,6 @@ def sample_pure_angles(geom: LatticeGeometry, rng: np.random.Generator,
     sigma = 2.0 ** (-geom.N)
     shape = (n, n) if count is None else (count, n, n)
     return rng.normal(0.0, sigma, size=shape)
-
-
-def sample_pure(geom: LatticeGeometry, rng: np.random.Generator) -> PureGaugeSample:
-    X = sample_pure_angles(geom, rng)
-    return PureGaugeSample(X, psi(geom, X))
 
 
 def heat_kernel_u1(x, N: int, tol: float = 1e-16):
@@ -156,13 +146,13 @@ class _MCKernel:
     m log(2 pi) - log det P + sum_x (|phi_x|^2 - V(|phi_x|)).
 
     Built once per weight model: it imports SciPy's LAPACK (SciPy's linalg
-    takes about 0.5 s to load), and it holds the axial precision, whose
-    horizontal hops are fixed, as a template into which each call writes only
-    the vertical-bond phases.  Each field's precision is stored column-major
-    (entry (x, y) at the row-major position of (y, x)), so that zpotrf
-    factors it and ztrtrs solves into the normals without a copy.  Work
-    buffers are kept per batch size and overwritten by the next call; the
-    returned log-weights are a fresh array.
+    takes about 0.5 s to load), and it holds the zero field's precision as
+    a template: the horizontal hops of an axial field are fixed, so each call
+    writes only the vertical-bond phases.  Each field's precision is stored
+    column-major (entry (x, y) at the row-major position of (y, x)), so that
+    zpotrf factors it and ztrtrs solves into the normals without a copy.
+    Work buffers are kept per batch size and overwritten by the next call;
+    the returned log-weights are a fresh array.
     """
 
     def __init__(self, N: int, pot: PotentialSpec, n_is: int):
@@ -171,13 +161,10 @@ class _MCKernel:
         self.pot, self.n_is = pot, n_is
         n = 1 << N
         self.m = (n - 1) ** 2
-        dpos, fwd, bwd, bond = _stencil_tables(n)
+        self._template = covariant_precision(N, np.zeros((1, n, n + 1)),
+                                             np.zeros((1, n + 1, n)))[0].T.ravel()
+        _, fwd, bwd, bond = _stencil_tables(n)
         vert = bond >= n * (n + 1)
-        phase = np.exp(1j * np.zeros(np.count_nonzero(~vert)))
-        self._template = np.zeros(self.m * self.m, dtype=complex)
-        self._template[dpos] = 5.0
-        self._template[bwd[~vert]] = -1.0 * phase
-        self._template[fwd[~vert]] = -1.0 * phase.conj()
         # vertical bond (k1, k2) -> (k1, k2 + 1) carries sum_{c<k1} X[c, k2],
         # the flat entry (k1 - 1) * n + k2 of the column cumsum of X
         self._vert_fwd, self._vert_bwd = bwd[vert], fwd[vert]
@@ -254,14 +241,15 @@ def check_weight_method(method: str, N: int) -> None:
 class _WeightModel:
     """The Higgs weight by one of WEIGHT_METHODS: the chain's log D-hat of a
     batch (`log_weight`) and the single-field estimate (`estimate`).  An unknown
-    method, or an N above its limit, is refused before any work."""
+    method, or an N above its limit, is refused before any work.  The loop
+    expansion is truncated at HIGGS_MAX_LEN."""
 
-    def __init__(self, geom, pot, method, max_len=8, n_is=64):
+    def __init__(self, geom, pot, method, n_is=64):
         check_weight_method(method, geom.N)
-        self.geom, self.pot, self.method = geom, pot, method
-        self.max_len, self.n_is = max_len, n_is
+        self.geom, self.pot, self.method, self.n_is = geom, pot, method, n_is
         if method == "loop-expansion":
-            self._wmat, self._cvec = higgs_loop_coefficients(geom, pot, max_len).weight_matrix()
+            self._coeffs = higgs_loop_coefficients(geom, pot, HIGGS_MAX_LEN)
+            self._wmat, self._cvec = self._coeffs.weight_matrix()
         elif method == "monte-carlo":
             self._kernel = _MCKernel(geom.N, pot, n_is)
 
@@ -295,8 +283,8 @@ class _WeightModel:
             value = c_coeff(0, higgs_site_measure(self.pot), "C", 1)  # 2 pi * moment(0)
             return WeightEstimate(value, 0.0, "quadrature")
         if self.method == "loop-expansion":
-            value = float(self._cvec @ np.cos(self._wmat @ g.plaquette_angles().T.reshape(-1)))
-            coarse = higgs_loop_coefficients(self.geom, self.pot, max(0, self.max_len - 2))
+            value = self._coeffs.evaluate(g)
+            coarse = higgs_loop_coefficients(self.geom, self.pot, HIGGS_MAX_LEN - 2)
             return WeightEstimate(value, abs(value - coarse.evaluate(g)), "loop-expansion")
         n = self.n_is
         if n < 2:
@@ -318,33 +306,26 @@ class _WeightModel:
         return WeightEstimate(value, stderr, "monte-carlo", ess, warnings)
 
 
-def higgs_weight_quadrature(g: GaugeField, pot: PotentialSpec) -> WeightEstimate:
-    """Exact value at N = 1: the single interior site decouples from g."""
-    return _WeightModel(g.geom, pot, "quadrature").estimate(g)
+def higgs_weight(g: GaugeField, pot: PotentialSpec, method: str = "monte-carlo",
+                 rng: np.random.Generator | None = None,
+                 n_samples: int = 4096) -> WeightEstimate:
+    """D(g) by any method but "constant"; Monte Carlo draws from `rng` (default seed 0).
+
+    Quadrature is exact at N = 1, where the single interior site decouples
+    from g.  The loop expansion is truncated at HIGGS_MAX_LEN; its error is
+    the difference against the truncation two orders lower.  Monte Carlo
+    importance-samples `n_samples` draws from the complex Gaussian with
+    precision I - 2^-2N Lap_g, which dominates the quadratic part of the
+    target; `NumericalError` is raised where the squared weights overflow."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _WeightModel(g.geom, pot, method, n_samples).estimate(g, rng)
 
 
 def higgs_weight_mc(g: GaugeField, pot: PotentialSpec,
                     rng: np.random.Generator, n_samples: int = 4096
                     ) -> WeightEstimate:
-    """Importance sampling from the complex Gaussian with precision
-    I - 2^-2N Lap_g, which dominates the quadratic part of the target.
-    Value, stderr and ESS come from the log-weights shifted by their maximum;
-    `NumericalError` is raised where the squared weights would overflow."""
-    return _WeightModel(g.geom, pot, "monte-carlo", n_is=n_samples).estimate(g, rng)
-
-
-def higgs_weight_loop(g: GaugeField, pot: PotentialSpec, max_len: int = 8) -> WeightEstimate:
-    """Truncated positive-type expansion; the error proxy is the difference
-    against the expansion truncated two orders lower."""
-    return _WeightModel(g.geom, pot, "loop-expansion", max_len).estimate(g)
-
-
-def higgs_weight(g: GaugeField, pot: PotentialSpec, method: str = "monte-carlo",
-                 rng: np.random.Generator | None = None, max_len: int = 8,
-                 n_samples: int = 4096) -> WeightEstimate:
-    """D(g) by any method but "constant"; Monte Carlo draws from `rng` (default seed 0)."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    return _WeightModel(g.geom, pot, method, max_len, n_samples).estimate(g, rng)
+    """`higgs_weight(g, pot, "monte-carlo", rng, n_samples)`."""
+    return higgs_weight(g, pot, "monte-carlo", rng, n_samples)
 
 
 # --------------------------------------------------------------------------
@@ -479,8 +460,7 @@ def tune_proposal(cfg, model) -> float:
 
 
 def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
-                       cfg: ChainConfig, method: str = "monte-carlo",
-                       max_len: int = 8) -> ChainResult:
+                       cfg: ChainConfig, method: str = "monte-carlo") -> ChainResult:
     """Metropolis-Hastings chain targeting the interacting plaquette-angle
     measure: Gaussian random-walk proposals, acceptance ratio
     [D(Psi X') / D(Psi X)] times the Gaussian reference ratio.
@@ -492,7 +472,7 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
     model serves the tuning pre-run and every chain; all chains step
     together as one batch (see `_run_chains`).
     """
-    model = _WeightModel(geom, pot, method, max_len=max_len, n_is=cfg.n_is)
+    model = _WeightModel(geom, pot, method, cfg.n_is)
     sigma = tune_proposal(cfg, model)
     kept, acc, stat = _run_chains(cfg, model, sigma)
     iat = float(np.mean([integrated_autocorr_time(series) for series in stat]))

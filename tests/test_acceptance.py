@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from u1higgs.cli import run as cli_run
-from u1higgs.gauge_core import psi, rect_boundary_loop, winding_vector
+from u1higgs.gauge_core import psi, rect_boundary_loop, to_axial, winding_vector
 from u1higgs.gauge_fixing import (
-    axial_fix,
     coarse_restrict,
     flatness,
     gauge_fix,
@@ -245,7 +244,7 @@ def test_criterion_8_gauge_fixing_pathwise_suite():
         g = psi(geom, X)
         # (a) axial bound at the forced scale, exact pathwise
         gm = coarse_restrict(g, m)
-        u_m = axial_fix(gm)
+        u_m = to_axial(gm)[0]
         fixed_m = apply_gauge(gm, u_m)
         C = thin_rect_holonomy_sup(gm, alpha)
         assert fixed_m.max_bond_log() <= C * 2.0 ** (-alpha * m / 2.0) + 1e-12

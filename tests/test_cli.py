@@ -7,8 +7,8 @@ import pytest
 
 from u1higgs import mc_verify
 from u1higgs.cli import run
-from u1higgs.gauge_core import load_gauge_field
-from u1higgs.lattice_geom import DomainError
+from u1higgs.gauge_core import GaugeField, load_gauge_field
+from u1higgs.lattice_geom import DomainError, build_lattice
 
 
 def read(path):
@@ -87,6 +87,38 @@ def test_gaugefix_and_norms(tmp_path):
     assert rep["norm_full"] == rep["norm_gr"] + rep["seminorm_rho"]
 
 
+def _field_file(tmp_path, edit):
+    """An N=1 identity field's file after edit(obj, n)."""
+    obj = GaugeField.identity(build_lattice(1)).to_json_dict()
+    edit(obj, 2)
+    path = str(tmp_path / "field.json")
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    return path
+
+
+def _bond(obj, x, d):
+    return next(b for b in obj["bonds"] if b["x"] == x and b["dir"] == d)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # bond (n-1, 0) written as (-1, 0): numpy's negative index used to store it
+    (lambda obj, n: _bond(obj, [n - 1, 0], 1).update(x=[-1, 0]), "outside the N=1 lattice"),
+    (lambda obj, n: _bond(obj, [0, 0], 1).update(x=[9, 0]), "outside the N=1 lattice"),
+    (lambda obj, n: _bond(obj, [n, 0], 2).update(x=[n, n]), "outside the N=1 lattice"),
+    (lambda obj, n: _bond(obj, [0, 0], 2).pop("dir"), "no 'dir' key"),
+    (lambda obj, n: obj.pop("bonds"), "no 'bonds' key"),
+], ids=["negative", "past_edge", "vertical_past_edge", "no_dir", "no_bonds"])
+@pytest.mark.parametrize("command", ["gaugefix", "norms"])
+def test_bad_gauge_field_file_is_usage_error(command, edit, message, tmp_path, capsys):
+    # these used to load as a wrong field, or end in an IndexError or
+    # KeyError traceback with exit 1, the code reserved for a failed verdict
+    out = str(tmp_path / "o")
+    assert run([command, "--field", _field_file(tmp_path, edit), "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def _loopexp(tmp_path, graph, max_total="4", tag="out"):
     gpath = str(tmp_path / f"{tag}.json")
     with open(gpath, "w") as f:
@@ -157,6 +189,24 @@ def test_loopexp_missing_graph_key_is_usage_error(drop, tmp_path, capsys):
     code, ledger = _loopexp(tmp_path, graph)
     assert code == 2
     assert f"no '{drop}' key" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"field": "C", "dim": 2, "vertices": ["x"],
+      "edges": [{"from": "x", "to": "x", "matrix": [[0.1]]}]}, "edge 0 matrix is not 2 x 2"),
+    ({"field": "C", "dim": 1, "vertices": ["x"],
+      "edges": [{"from": "x", "to": "x", "value": 0.3}],
+      "measures": {"x": {"kind": "discrete"}}}, "no 'points' key"),
+    ({"field": "C", "dim": 1, "vertices": ["x"],
+      "edges": [{"from": "x", "to": "x", "value": "0.3i"}]}, "edge 0 value '0.3i'"),
+], ids=["matrix_shape", "discrete_points", "value"])
+def test_loopexp_bad_graph_entry_is_usage_error(graph, message, tmp_path, capsys):
+    # these used to end in an IndexError, KeyError or ValueError traceback
+    # with exit 1
+    code, ledger = _loopexp(tmp_path, graph)
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not os.path.exists(ledger)
 
 

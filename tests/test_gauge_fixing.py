@@ -16,7 +16,6 @@ from u1higgs.gauge_core import (
     wrap_angle,
 )
 from u1higgs.gauge_fixing import (
-    axial_fix,
     coarse_restrict,
     flatness,
     flatness_sweep,
@@ -198,7 +197,7 @@ def test_coarse_restrict_stokes_small_angles():
 def test_axial_fix_already_axial():
     geom = build_lattice(2)
     g = psi(geom, np.random.default_rng(6).normal(0, 0.3, size=(4, 4)))
-    u = axial_fix(g)
+    u = to_axial(g)[0]
     assert u.is_identity()
 
 
@@ -208,7 +207,7 @@ def test_axial_bound_pathwise_exact():
     for trial in range(10):
         m, alpha = 3, 0.5
         g_m = GaugeField.random(build_lattice(m), rng)
-        u = axial_fix(g_m)
+        u = to_axial(g_m)[0]
         fixed = apply_gauge(g_m, u)
         C = thin_rect_holonomy_sup(g_m, alpha)
         assert fixed.max_bond_log() <= C * 2.0 ** (-alpha * m / 2.0) + 1e-12
@@ -217,7 +216,7 @@ def test_axial_bound_pathwise_exact():
 def test_axial_preserves_holonomies():
     rng = np.random.default_rng(8)
     g = GaugeField.random(build_lattice(3), rng)
-    u = axial_fix(g)
+    u = to_axial(g)[0]
     np.testing.assert_allclose(np.exp(1j * apply_gauge(g, u).plaquette_angles()),
                                np.exp(1j * g.plaquette_angles()), atol=1e-12)
 
@@ -228,7 +227,7 @@ def test_nontree_bond_equals_thin_rect_holonomy():
     rng = np.random.default_rng(9)
     m = 3
     g = GaugeField.random(build_lattice(m), rng)
-    u = axial_fix(g)
+    u = to_axial(g)[0]
     fixed = apply_gauge(g, u)
     for k1 in (1, 3, 5):
         for k2 in (0, 4):
@@ -288,7 +287,7 @@ def test_landau_midpoint_rule():
     rng = np.random.default_rng(11)
     N, m = 3, 2
     g = pure_gauge_field(N, rng, damp=0.3)
-    u_m = axial_fix(coarse_restrict(g, m))
+    u_m = to_axial(coarse_restrict(g, m))[0]
     u, diag = landau_extend(g, u_m, m)
     fixed = apply_gauge(g, u)
     # midpoint of the coarse bond (0,0)->(1/4,0): both fine halves carry half
@@ -360,7 +359,7 @@ def test_landau_matches_exact_oracle():
             cases += [(g, 1), (g, 2)]
     n_violations = 0
     for g, m in cases:
-        u, diag = landau_extend(g, axial_fix(coarse_restrict(g, m)), m)
+        u, diag = landau_extend(g, to_axial(coarse_restrict(g, m))[0], m)
         assert _landau_oracle_violations(g, u, m) == diag.violations_per_scale
         n_violations += diag.violations
     assert n_violations > 0
@@ -370,7 +369,7 @@ def test_landau_smallness_zero_violations_smooth():
     rng = np.random.default_rng(12)
     N, m = 5, 4
     g = pure_gauge_field(N, rng, damp=0.05)
-    u_m = axial_fix(coarse_restrict(g, m))
+    u_m = to_axial(coarse_restrict(g, m))[0]
     u, diag = landau_extend(g, u_m, m)
     assert diag.violations == 0
     assert diag.max_smallness_residual < 1e-9
@@ -488,7 +487,7 @@ def test_forced_scale_pipeline_on_rough_field():
     assert rep.forced_scale and rep.used_m == 4
     assert rep.fallback  # theorem condition still fails for rough fields
     gm = coarse_restrict(g, 4)
-    fixed_m = apply_gauge(gm, axial_fix(gm))
+    fixed_m = apply_gauge(gm, to_axial(gm)[0])
     assert rep.axial_max_bond_log == pytest.approx(fixed_m.max_bond_log(), abs=1e-12)
     assert rep.axial_max_bond_log <= rep.axial_thin_sup * 2.0 ** (-0.5 * 4 / 2) + 1e-12
 

@@ -9,6 +9,7 @@ from scipy import integrate
 from u1higgs import loop_expansion
 from u1higgs.lattice_geom import DomainError, ResourceError, build_lattice
 from u1higgs.loop_expansion import (
+    HIGGS_MAX_LEN,
     EdgeClass,
     MultiGraph,
     OperatorAssignment,
@@ -709,8 +710,8 @@ def test_higgs_evaluate_matches_chain_weight():
     from u1higgs.gauge_core import psi
     from u1higgs.sampler import _WeightModel
     geom = build_lattice(2)
-    hc = higgs_loop_coefficients(geom, quartic(), 6)
-    model = _WeightModel(geom, quartic(), "loop-expansion", max_len=6)
+    hc = higgs_loop_coefficients(geom, quartic(), HIGGS_MAX_LEN)
+    model = _WeightModel(geom, quartic(), "loop-expansion")
     rng = np.random.default_rng(8)
     for _ in range(5):
         X = rng.normal(0.0, 0.5, size=(geom.n, geom.n))

@@ -195,6 +195,24 @@ def test_interacting_scan_refuses_n_above_method_limit_before_sampling(verify, m
         verify(mode="interacting")
 
 
+@pytest.mark.parametrize("verify", [verify_mgf, verify_tail, verify_plaquette_sum_moments],
+                         ids=["mgf", "tail", "plaquette_sum_moments"])
+def test_interacting_loop_experiment_refuses_n_above_method_limit_before_gate(verify,
+                                                                              monkeypatch):
+    # the pure gate used to run first, and its "fail" verdict could hide the
+    # usage error; the loop-expansion weight's limit is N=2
+    opened = []
+
+    def recording_stream(seed, *indices, tag=""):
+        opened.append((seed, indices, tag))
+        raise AssertionError("a stream was opened before the N limit was checked")
+
+    monkeypatch.setattr(rngmod, "stream", recording_stream)
+    with pytest.raises(DomainError, match="loop-expansion Higgs weight limited to N <= 2"):
+        verify(3, mode="interacting")
+    assert opened == []
+
+
 @pytest.mark.parametrize("verify, params, reference", [
     (verify_mgf, {"N": 2, "eta": 1.0, "omega": 0.25, "mode": "interacting"},
      math.sqrt(2.0)),

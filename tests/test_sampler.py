@@ -33,12 +33,9 @@ from u1higgs.sampler import (
     WeightEstimate,
     heat_kernel_u1,
     higgs_weight,
-    higgs_weight_loop,
     higgs_weight_mc,
-    higgs_weight_quadrature,
     integrated_autocorr_time,
     sample_interacting,
-    sample_pure,
     sample_pure_angles,
 )
 from u1higgs.sampler import TWO_PI, _WeightModel
@@ -98,8 +95,8 @@ def test_pure_variance():
 
 def test_pure_sample_is_axial_with_given_holonomies():
     geom = build_lattice(3)
-    s = sample_pure(geom, stream(2))
-    np.testing.assert_allclose(s.g.plaquette_angles(), s.X, atol=1e-12)
+    X = sample_pure_angles(geom, stream(2))
+    np.testing.assert_allclose(psi(geom, X).plaquette_angles(), X, atol=1e-12)
 
 
 def test_loop_sum_is_gaussian_with_variance_omega():
@@ -167,8 +164,8 @@ def test_heat_kernel_matches_plaquette_distribution():
 
 def test_quadrature_weight_n1_independent_of_g():
     geom = build_lattice(1)
-    w = higgs_weight_quadrature(GaugeField.random(geom, stream(6)), QUARTIC)
-    w2 = higgs_weight_quadrature(GaugeField.random(geom, stream(7)), QUARTIC)
+    w = higgs_weight(GaugeField.random(geom, stream(6)), QUARTIC, "quadrature")
+    w2 = higgs_weight(GaugeField.random(geom, stream(7)), QUARTIC, "quadrature")
     assert w.value == pytest.approx(w2.value, rel=1e-10)
     assert w.stderr == 0.0
     # explicit 2D quadrature oracle: 2 * int exp(-4 s^2 - V(s)) over the plane
@@ -181,7 +178,7 @@ def test_quadrature_weight_n1_independent_of_g():
 def test_mc_weight_agrees_with_quadrature_n1():
     geom = build_lattice(1)
     g = GaugeField.random(geom, stream(8))
-    exact = higgs_weight_quadrature(g, QUARTIC).value
+    exact = higgs_weight(g, QUARTIC, "quadrature").value
     est = higgs_weight_mc(g, QUARTIC, stream(9), n_samples=20000)
     assert abs(est.value - exact) < 4 * est.stderr
     assert est.ess > 1000
@@ -348,7 +345,7 @@ def test_mc_vs_loop_expansion_n2():
     geom = build_lattice(2)
     g = psi(geom, sample_pure_angles(geom, stream(13)))
     mc = higgs_weight_mc(g, QUARTIC, stream(14), n_samples=40000)
-    loop = higgs_weight_loop(g, QUARTIC, max_len=8)
+    loop = higgs_weight(g, QUARTIC, "loop-expansion")
     assert abs(mc.value - loop.value) < 4 * mc.stderr + 2 * loop.stderr
 
 
@@ -383,7 +380,7 @@ def test_unknown_weight_method_refused_before_any_stream(monkeypatch):
 @pytest.mark.parametrize("method, N", [("monte-carlo", 4), ("loop-expansion", 3),
                                        ("quadrature", 2)])
 def test_chain_and_single_field_refuse_the_same_scale(method, N, monkeypatch):
-    # one scale guard serves the chain, the dispatcher and the named estimator
+    # one scale guard serves the chain and the single-field call
     geom = build_lattice(N)
     g = psi(geom, sample_pure_angles(geom, stream(5)))
     gen = stream(6)
@@ -392,13 +389,13 @@ def test_chain_and_single_field_refuse_the_same_scale(method, N, monkeypatch):
     for name in ("higgs_loop_coefficients", "higgs_site_measure"):
         monkeypatch.setattr(sampler_module, name, no_work)
     monkeypatch.setattr(rng_module, "stream", no_work)
-    single = {"monte-carlo": lambda: higgs_weight_mc(g, QUARTIC, gen, 256),
-              "loop-expansion": lambda: higgs_weight_loop(g, QUARTIC),
-              "quadrature": lambda: higgs_weight_quadrature(g, QUARTIC)}[method]
     cfg = ChainConfig(samples=5, burn_in=1, thin=1, n_chains=1, seed=1)
+    calls = [lambda: sample_interacting(geom, QUARTIC, cfg, method=method),
+             lambda: higgs_weight(g, QUARTIC, method, rng=gen)]
+    if method == "monte-carlo":
+        calls.append(lambda: higgs_weight_mc(g, QUARTIC, gen, 256))
     messages = set()
-    for call in (lambda: sample_interacting(geom, QUARTIC, cfg, method=method),
-                 lambda: higgs_weight(g, QUARTIC, method, rng=gen), single):
+    for call in calls:
         with pytest.raises(DomainError, match=f"N <= {N - 1}") as err:
             call()
         messages.add(str(err.value))
@@ -435,7 +432,7 @@ def test_mc_chain_refuses_nan_log_weight():
 
 def test_loop_chain_refuses_nan_log_weight():
     geom = build_lattice(2)
-    model = _WeightModel(geom, QUARTIC, "loop-expansion", max_len=4)
+    model = _WeightModel(geom, QUARTIC, "loop-expansion")
     X = sample_pure_angles(geom, stream(8), count=3)
     assert np.isfinite(model.log_weight(X, None)).all()
     model._cvec = model._cvec * math.nan
@@ -461,8 +458,8 @@ def test_constant_weight_chain_matches_pure_gauge():
 def test_chain_determinism():
     geom = build_lattice(2)
     cfg = ChainConfig(samples=50, burn_in=20, thin=2, n_chains=2, seed=33)
-    r1 = sample_interacting(geom, QUARTIC, cfg, method="loop-expansion", max_len=4)
-    r2 = sample_interacting(geom, QUARTIC, cfg, method="loop-expansion", max_len=4)
+    r1 = sample_interacting(geom, QUARTIC, cfg, method="loop-expansion")
+    r2 = sample_interacting(geom, QUARTIC, cfg, method="loop-expansion")
     np.testing.assert_array_equal(r1.X, r2.X)
     np.testing.assert_array_equal(r1.acceptance, r2.acceptance)
 
@@ -478,7 +475,7 @@ def test_chain_streams_are_per_chain_and_block(method, monkeypatch):
     total = kw["burn_in"] + kw["samples"] * kw["thin"]
     assert total > BLOCK_STEPS
     one = sample_interacting(geom, QUARTIC, ChainConfig(n_chains=1, **kw),
-                             method=method, max_len=4)
+                             method=method)
     opened = []
 
     def recording_stream(seed, *indices, tag=""):
@@ -487,7 +484,7 @@ def test_chain_streams_are_per_chain_and_block(method, monkeypatch):
 
     monkeypatch.setattr(rng_module, "stream", recording_stream)
     three = sample_interacting(geom, QUARTIC, ChainConfig(n_chains=3, **kw),
-                               method=method, max_len=4)
+                               method=method)
     blocks = -(-total // BLOCK_STEPS)
     expected = [(5, (c,), "init") for c in range(3)] \
         + [(5, (c, k), "block") for c in range(3) for k in range(blocks)]
