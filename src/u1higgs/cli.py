@@ -143,8 +143,8 @@ def cmd_sample(args):
         res = sample_interacting(geom, _potential(args), cfg, method=args.method)
         X = res.flat()
         acc = res.acceptance.tolist()
-        config["proposal_std"] = res.proposal_std
         config["iat"] = res.iat
+        config["warnings"] = list(res.warnings)
     _write_chain_csv(os.path.join(out, "samples.csv"), X)
     g = psi(geom, X[-1])
     g.dump_json(os.path.join(out, "field.json"))

@@ -120,19 +120,29 @@ def _field_key(obj, key, where):
     return obj[key]
 
 
+def _field_number(obj, key, where, integer=False):
+    """obj[key] from a gauge-field file, which must be a JSON integer if
+    `integer`, else a JSON number; a bool or any other value is a DomainError."""
+    value = _field_key(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise DomainError(f"gauge field file: {where} has {key!r} = {value!r}, not {kind}")
+    return value
+
+
 def load_gauge_field(obj) -> GaugeField:
     """Load a gauge field from the JSON wire format, validating keys, bond
     coordinates, counts and range."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    geom = build_lattice(int(_field_key(obj, "N", "the file")))
+    geom = build_lattice(_field_number(obj, "N", "the file", integer=True))
     n = geom.n
     th = np.full((n, n + 1), np.nan)
     tv = np.full((n + 1, n), np.nan)
     bonds = _field_key(obj, "bonds", "the file")
     for i, b in enumerate(bonds):
         x = _field_key(b, "x", f"bond {i}")
-        theta = float(_field_key(b, "theta", f"bond {i}"))
+        theta = float(_field_number(b, "theta", f"bond {i}"))
         d = _field_key(b, "dir", f"bond {i}")
         if not (-np.pi < theta <= np.pi):
             raise DomainError(f"bond angle {theta} outside (-pi, pi]")

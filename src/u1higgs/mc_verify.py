@@ -148,7 +148,8 @@ def _loop_sums(verify, arg, geom, loop, w, samples, mode, seed, pot, method,
     Y = wrap_angle(X) if wrapped else X
     sums = (Y * w[None, :, :]).sum(axis=(1, 2))
     wraps = int((np.abs(X) >= np.pi).any(axis=(1, 2)).sum())
-    return sums, {"gate": "pass", "wrap_events": wraps, "iat": res.iat}, res
+    return sums, {"gate": "pass", "wrap_events": wraps, "iat": res.iat,
+                  "warnings": list(res.warnings)}, res
 
 
 def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
@@ -176,8 +177,7 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
     else:
         se *= math.sqrt(max(res.iat, 1.0))
         verdict = "pass" if est <= reference + SIGMA_POLICY * se else "fail"
-        extras.update({"acceptance": res.acceptance.tolist(),
-                       "proposal_std": res.proposal_std})
+        extras["acceptance"] = res.acceptance.tolist()
     return ExperimentResult("mgf", params, est, se, reference, verdict,
                             len(sums), seed, extras)
 

@@ -67,12 +67,6 @@ class PotentialSpec:
             return x ** 4 - self.c * x * x
         return float(self.func(x))
 
-    def check_integrable(self, alpha: float, xmax: float = 60.0) -> bool:
-        """e^{alpha x^2 - V(x)} decays at the tail (numeric certificate)."""
-        xs = np.linspace(0.7 * xmax, xmax, 64)
-        vals = alpha * xs ** 2 - np.array([self.evaluate(x) for x in xs])
-        return bool(vals[-1] < vals[0] and vals[-1] < -50.0)
-
 
 # --------------------------------------------------------------------------
 # pure gauge theory
@@ -339,8 +333,7 @@ class ChainConfig:
     thin: int = 4
     n_chains: int = 2
     seed: int = 0
-    proposal_std: float | None = None  # default 0.5 * 2^-N, then tuned
-    tune: bool = True
+    tune: bool = True             # read by nothing: perfbench's pm_chain passes it
     n_is: int = 64                # inner importance samples (pseudo-marginal)
 
     def __post_init__(self):
@@ -353,7 +346,6 @@ class ChainConfig:
 class ChainResult:
     X: np.ndarray                # (n_chains, samples, n, n) kept states
     acceptance: np.ndarray       # per chain
-    proposal_std: float
     iat: float                   # integrated autocorrelation of sum X_p^2
     method: str
     seed: int
@@ -400,16 +392,19 @@ BLOCK_STEPS = 64  # chain steps drawn from one Philox stream per chain
 def _run_chains(cfg, model, proposal_std):
     """Step the cfg.n_chains chains as one (B, n, n) batch.
 
+    Proposals are independent of the current state: proposal_std times
+    standard normals, which is the pure-gauge law at proposal_std = 2^-N.
+    The Metropolis-Hastings ratio is then the weight ratio alone.
+
     Chain c starts from a pure-gauge draw of stream (seed, c, tag "init"),
     which also supplies its first weight estimate.  Its steps come in
     blocks of BLOCK_STEPS, each from one stream (seed, c, block, tag
-    "block"): the block's proposal increments and acceptance uniforms are
-    drawn up front, then the importance normals step by step.  A chain's
-    draws therefore do not depend on how many chains share the batch.
+    "block"): the block's proposals and acceptance uniforms are drawn up
+    front, then the importance normals step by step.  A chain's draws
+    therefore do not depend on how many chains share the batch.
     """
     geom = model.geom
     n, B, K = geom.n, cfg.n_chains, BLOCK_STEPS
-    sigma_nu2 = 4.0 ** (-geom.N)
     gens = [rngmod.stream(cfg.seed, c, tag="init") for c in range(B)]
     X = np.stack([sample_pure_angles(geom, gen) for gen in gens])
     logw = model.log_weight(X, gens)
@@ -417,23 +412,20 @@ def _run_chains(cfg, model, proposal_std):
     kept = np.empty((B, cfg.samples, n, n))
     accepted = np.zeros(B)
     stat = np.empty((B, total))
-    sq = (X ** 2).sum(axis=(1, 2))
     for step in range(total):
         j = step % K
         if j == 0:
             gens = [rngmod.stream(cfg.seed, c, step // K, tag="block") for c in range(B)]
-            steps = proposal_std * np.stack([gen.standard_normal((K, n, n)) for gen in gens],
-                                            axis=1)
+            proposals = proposal_std * np.stack([gen.standard_normal((K, n, n))
+                                                 for gen in gens], axis=1)
             log_u = np.log(np.stack([gen.random(K) for gen in gens], axis=1))
-        Xp = X + steps[j]
-        sq_p = (Xp ** 2).sum(axis=(1, 2))
+        Xp = proposals[j]
         logw_p = model.log_weight(Xp, gens)
-        acc = log_u[j] < logw_p - logw - (sq_p - sq) / (2.0 * sigma_nu2)
+        acc = log_u[j] < logw_p - logw
         X = np.where(acc[:, None, None], Xp, X)
         logw = np.where(acc, logw_p, logw)
-        sq = np.where(acc, sq_p, sq)
         accepted += acc
-        stat[:, step] = sq
+        stat[:, step] = (X ** 2).sum(axis=(1, 2))
         k = step - cfg.burn_in
         if k >= 0 and k % cfg.thin == 0:
             kept[:, k // cfg.thin] = X
@@ -441,42 +433,30 @@ def _run_chains(cfg, model, proposal_std):
 
 
 def tune_proposal(cfg, model) -> float:
-    """Short pre-run doubling/halving the step to land in 30-50% acceptance."""
-    sigma = cfg.proposal_std if cfg.proposal_std else 0.5 * 2.0 ** (-model.geom.N)
-    if not cfg.tune:
-        return sigma
-    probe = ChainConfig(samples=60, burn_in=40, thin=1, n_chains=1,
-                        seed=rngmod.spawn_seed(cfg.seed, 999), tune=False,
-                        n_is=cfg.n_is)
-    for _ in range(8):
-        _, acc, _ = _run_chains(probe, model, sigma)
-        if acc[0] < 0.30:
-            sigma /= 1.5
-        elif acc[0] > 0.50:
-            sigma *= 1.5
-        else:
-            break
-    return sigma
+    """The proposal scale 2^-N: the pure-gauge law's standard deviation.
+
+    The independence proposal needs no tuning, so this tunes nothing; the
+    name stays because perfbench/layers.py traces it."""
+    return 2.0 ** -model.geom.N
 
 
 def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
                        cfg: ChainConfig, method: str = "monte-carlo") -> ChainResult:
     """Metropolis-Hastings chain targeting the interacting plaquette-angle
-    measure: Gaussian random-walk proposals, acceptance ratio
-    [D(Psi X') / D(Psi X)] times the Gaussian reference ratio.
+    measure nu_N reweighted by D(Psi X): independence proposals from the
+    pure-gauge law nu_N, acceptance ratio D(Psi X') / D(Psi X).
 
     With the stochastic weight estimator the chain is pseudo-marginal: a
     fresh unbiased estimate is drawn for every proposal and the current
     state's estimate is recycled on rejection.  `method = "constant"` is
-    the debug mode whose marginal is the pure gauge measure.  One weight
-    model serves the tuning pre-run and every chain; all chains step
-    together as one batch (see `_run_chains`).
+    the debug mode whose marginal is the pure gauge measure.  All chains
+    step together as one batch (see `_run_chains`); a sticky chain, one
+    accepting under 5% of its proposals, is reported in `warnings`.
     """
     model = _WeightModel(geom, pot, method, cfg.n_is)
-    sigma = tune_proposal(cfg, model)
-    kept, acc, stat = _run_chains(cfg, model, sigma)
+    kept, acc, stat = _run_chains(cfg, model, tune_proposal(cfg, model))
     iat = float(np.mean([integrated_autocorr_time(series) for series in stat]))
     warnings = ()
-    if np.any(acc < 0.05) or np.any(acc > 0.95):
-        warnings = (f"acceptance rate outside [0.05, 0.95]: {acc}",)
-    return ChainResult(kept, acc, sigma, iat, method, cfg.seed, warnings)
+    if np.any(acc < 0.05):
+        warnings = (f"acceptance rate below 0.05: {acc}",)
+    return ChainResult(kept, acc, iat, method, cfg.seed, warnings)

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from u1higgs import mc_verify
+from u1higgs import mc_verify, sampler
 from u1higgs.cli import run
 from u1higgs.gauge_core import GaugeField, load_gauge_field
 from u1higgs.lattice_geom import DomainError, build_lattice
+from test_sampler import _GaussianTiltModel
 
 
 def read(path):
@@ -58,7 +59,19 @@ def test_sample_interacting_manifest(tmp_path):
                 "--out", out]) == 0
     manifest = json.loads(read(os.path.join(out, "manifest.json")))
     assert "acceptance" in manifest["config"]
-    assert "proposal_std" in manifest["config"]
+    assert manifest["config"]["warnings"] == []
+
+
+def test_sticky_chain_warning_reaches_manifest(tmp_path, monkeypatch):
+    # log-noise of sd 10 in the weight estimate leaves the chain stuck
+    monkeypatch.setattr(sampler, "_WeightModel",
+                        lambda geom, *args: _GaussianTiltModel(geom.N, 0.0, 10.0))
+    out = str(tmp_path)
+    assert run(["sample", "interacting", "--N", "1", "--samples", "50", "--seed", "3",
+                "--burn-in", "50", "--thin", "1", "--chains", "1", "--out", out]) == 0
+    config = json.loads(read(os.path.join(out, "manifest.json")))["config"]
+    assert config["acceptance"][0] < 0.05
+    assert config["warnings"][0].startswith("acceptance rate below 0.05")
 
 
 def test_sample_interacting_refuses_nan_potential(tmp_path, capsys):
@@ -108,11 +121,19 @@ def _bond(obj, x, d):
     (lambda obj, n: _bond(obj, [n, 0], 2).update(x=[n, n]), "outside the N=1 lattice"),
     (lambda obj, n: _bond(obj, [0, 0], 2).pop("dir"), "no 'dir' key"),
     (lambda obj, n: obj.pop("bonds"), "no 'bonds' key"),
-], ids=["negative", "past_edge", "vertical_past_edge", "no_dir", "no_bonds"])
+    (lambda obj, n: obj.update(N="one"), "'N' = 'one', not an integer"),
+    (lambda obj, n: obj.update(N=1.7), "'N' = 1.7, not an integer"),
+    (lambda obj, n: obj.update(N=True), "'N' = True, not an integer"),
+    (lambda obj, n: _bond(obj, [0, 0], 1).update(theta="x"), "'theta' = 'x', not a number"),
+    (lambda obj, n: _bond(obj, [0, 0], 1).update(theta=None), "'theta' = None, not a number"),
+    (lambda obj, n: _bond(obj, [0, 0], 1).update(theta=True), "'theta' = True, not a number"),
+], ids=["negative", "past_edge", "vertical_past_edge", "no_dir", "no_bonds",
+        "N_string", "N_float", "N_bool", "theta_string", "theta_null", "theta_bool"])
 @pytest.mark.parametrize("command", ["gaugefix", "norms"])
 def test_bad_gauge_field_file_is_usage_error(command, edit, message, tmp_path, capsys):
-    # these used to load as a wrong field, or end in an IndexError or
-    # KeyError traceback with exit 1, the code reserved for a failed verdict
+    # these used to load as a wrong field (N=1.7 or true as N=1, theta true
+    # as 1.0), or end in an IndexError, KeyError, ValueError or TypeError
+    # traceback with exit 1, the code reserved for a failed verdict
     out = str(tmp_path / "o")
     assert run([command, "--field", _field_file(tmp_path, edit), "--out", out]) == 2
     assert message in capsys.readouterr().err

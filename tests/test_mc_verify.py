@@ -64,7 +64,7 @@ def test_mgf_interacting_small():
     r = verify_mgf(2, eta=1.0, samples=1200, mode="interacting", seed=4,
                    chain_kw={"burn_in": 400, "thin": 3, "n_chains": 2})
     assert r.verdict == "pass"
-    assert r.extras["gate"] == "pass"
+    assert r.extras["gate"] == "pass" and r.extras["warnings"] == []
 
 
 # ---------------------------------------------------------------- tail

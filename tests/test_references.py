@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level name in src/u1higgs has a reader.
+"""Source hygiene: every module-level name in src/u1higgs has a reader,
+and every name the benchmark in perfbench/ reads still exists.
 
 A name counts as read when some other statement in src/, tests/ or
 scripts/ loads it (as a bare name or as an attribute) or imports it.  Its
@@ -6,13 +7,21 @@ own definition does not count, and neither do the re-exports of
 `__init__.py`.  Private names are held to the same rule, so a helper that
 a refactor leaves behind fails; dunders are exempt.  Like test_imports.py,
 this stdlib `ast` scan stands in for a linter.
+
+A traced benchmark run that lacks a layer metric is not a valid result, so
+a function perfbench/layers.py traces, or a keyword perfbench/workloads.py
+passes, must outlive any refactor of src/; both files are loaded by path
+and only read.
 """
 
 import ast
+import importlib.util
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "u1higgs"
+PERFBENCH = ROOT / "perfbench"
 READERS = ("src", "tests", "scripts")
 
 
@@ -68,3 +77,33 @@ def test_every_public_name_is_read():
 def test_every_private_name_is_read():
     found = [where for name, where in unread_names() if name.startswith("_")]
     assert not found, "private names that nothing reads: " + ", ".join(found)
+
+
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py loaded by path under its bare name, which is how
+    its siblings import it; the registration is undone after the test."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_span_resolves(monkeypatch):
+    layers = _perfbench_module("layers", monkeypatch)
+    tracer = _perfbench_module("tracer", monkeypatch)
+    gone = []
+    for name, module, attr, *_ in layers.SPANS:
+        importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        if tracer.lookup(module, attr) is None:
+            gone.append(name)
+    assert not gone, "benchmark spans with no function behind them: " + ", ".join(gone)
+
+
+def test_every_benchmark_workload_prepares(tmp_path, monkeypatch):
+    # prepare() builds the configs and calls the entry points a round uses
+    _perfbench_module("tracer", monkeypatch)
+    workloads = _perfbench_module("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        workload(1, str(tmp_path / name)).prepare()
