@@ -18,19 +18,14 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .gauge_core import apply_gauge, load_gauge_field, psi
 from .gauge_fixing import gauge_fix
-from .lattice_geom import (
-    ConfigurationError,
-    DomainError,
-    Rect,
-    ResourceError,
-    build_lattice,
-)
+from .lattice_geom import ConfigurationError, DomainError, ResourceError, build_lattice
 from .loop_expansion import (
     MultiGraph,
     NumericalError,
@@ -38,7 +33,7 @@ from .loop_expansion import (
     RadialMeasure,
     expansion_value,
 )
-from .mc_verify import EXPERIMENTS
+from .mc_verify import EXPERIMENTS, _plain
 from .norms import log_oneform, norm_report
 from .rng import stream
 from .sampler import (
@@ -67,9 +62,17 @@ def _json_default(x):
         return x.item()
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, Rect):
-        return {"x0": x.x0, "y0": x.y0, "w": x.w, "h": x.h, "scale": x.scale}
     raise TypeError(f"not JSON serializable: {type(x)}")
+
+
+def _read_json(path, what):
+    """The JSON document in file `path`; an unreadable file or malformed JSON
+    is a usage error naming `what`."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigurationError(f"cannot read {what} {path!r}: {e}") from None
 
 
 def _write_manifest(outdir, command, config, seed, outputs):
@@ -113,7 +116,7 @@ def cmd_lattice(args):
 
 # ---------------------------------------------------------------- sample
 
-def _write_chain_csv(path, X, stats_fn=None):
+def _write_chain_csv(path, X):
     """CSV: step, flattened plaquette angles, derived statistic."""
     with open(path, "w", newline="\n") as f:
         n_plaq = X.shape[1] * X.shape[2]
@@ -160,8 +163,7 @@ def cmd_sample(args):
 # ---------------------------------------------------------------- gaugefix
 
 def cmd_gaugefix(args):
-    with open(args.field) as f:
-        g = load_gauge_field(f.read())
+    g = load_gauge_field(_read_json(args.field, "gauge-field file"))
     out = _ensure_outdir(args)
     betas = tuple(args.beta) if args.beta else (0.5,)
     u, rep = gauge_fix(g, args.alpha, betas=betas, kappa=args.kappa,
@@ -170,22 +172,7 @@ def cmd_gaugefix(args):
     _dump_json(os.path.join(out, "transform.json"),
                {"N": g.geom.N, "angles": u.angles.tolist()})
     fixed.dump_json(os.path.join(out, "fixed_field.json"))
-    report = {
-        "alpha": rep.alpha, "flatness": rep.flatness_value,
-        "flatness_argmax": rep.flatness_argmax,
-        "theorem_m": rep.theorem_m, "used_m": rep.used_m,
-        "fallback": rep.fallback, "forced_scale": rep.forced_scale,
-        "violations": rep.violations,
-        "violations_per_scale": rep.smallness_violations_per_scale,
-        "axial_thin_sup": rep.axial_thin_sup,
-        "axial_max_bond_log": rep.axial_max_bond_log,
-        "hypothesis_simple": rep.hypothesis_simple,
-        "hypothesis_landau": rep.hypothesis_landau,
-        "norms": {str(k): v for k, v in rep.norms.items()},
-        "trivial_bound": {str(k): v for k, v in rep.trivial_bound.items()},
-        "gr_bound": {str(k): v for k, v in rep.gr_bound.items()},
-    }
-    _dump_json(os.path.join(out, "report.json"), report)
+    _dump_json(os.path.join(out, "report.json"), _plain(asdict(rep)))
     _write_manifest(out, "gaugefix",
                     {"field": args.field, "alpha": args.alpha,
                      "betas": list(betas), "kappa": args.kappa,
@@ -199,8 +186,7 @@ def cmd_gaugefix(args):
 # ---------------------------------------------------------------- norms
 
 def cmd_norms(args):
-    with open(args.field) as f:
-        g = load_gauge_field(f.read())
+    g = load_gauge_field(_read_json(args.field, "gauge-field file"))
     A = log_oneform(g)
     rep = norm_report(A, args.alpha)
     out = _ensure_outdir(args)
@@ -235,15 +221,22 @@ def _parse_matrix(entry, dim, where):
     return M
 
 
+def _graph_object(obj, where):
+    """obj if it is a JSON object; anything else is a usage error naming where."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"graph file: {where} is not a JSON object")
+    return obj
+
+
 def _graph_key(obj, key, where):
     """obj[key] from the graph file; a missing key is a usage error naming it."""
-    if key not in obj:
+    if key not in _graph_object(obj, where):
         raise ConfigurationError(f"graph file: {where} has no {key!r} key")
     return obj[key]
 
 
 def _parse_measure(spec, where):
-    kind = spec.get("kind", "gaussian_type")
+    kind = _graph_object(spec, where).get("kind", "gaussian_type")
     if kind == "gaussian_type":
         return RadialMeasure.gaussian_type()
     if kind == "dirac0":
@@ -254,12 +247,16 @@ def _parse_measure(spec, where):
 
 
 def cmd_loopexp(args):
-    with open(args.graph) as f:
-        desc = json.load(f)
+    desc = _graph_object(_read_json(args.graph, "graph file"), "the graph")
     fieldtag = desc.get("field", "C")
-    dim = int(desc.get("dim", 1))
-    vertices = tuple(_graph_key(desc, "vertices", "the graph"))
+    dim = desc.get("dim", 1)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ConfigurationError(f"graph file: 'dim' = {dim!r} is not an integer >= 1")
+    vertices = _graph_key(desc, "vertices", "the graph")
     edge_descs = _graph_key(desc, "edges", "the graph")
+    if not (isinstance(vertices, list) and isinstance(edge_descs, list)):
+        raise ConfigurationError("graph file: 'vertices' and 'edges' must be lists")
+    vertices = tuple(vertices)
     edges = tuple((_graph_key(e, "from", f"edge {i}"), _graph_key(e, "to", f"edge {i}"))
                   for i, e in enumerate(edge_descs))
     G = MultiGraph(vertices, edges)
@@ -268,8 +265,8 @@ def cmd_loopexp(args):
                                          f"edge {i} value")]])
                  for i, e in enumerate(edge_descs))
     M = OperatorAssignment(fieldtag, dim, mats, G)
-    lam = {v: _parse_measure(desc.get("measures", {}).get(str(v), {}), f"measure of {v!r}")
-           for v in vertices}
+    measures = _graph_object(desc.get("measures", {}), "'measures'")
+    lam = {v: _parse_measure(measures.get(str(v), {}), f"measure of {v!r}") for v in vertices}
     res = expansion_value(G, M, lam, args.max_total)
     out = _ensure_outdir(args)
     path = os.path.join(out, "ledger.csv")
@@ -308,8 +305,10 @@ def cmd_verify(args):
         return USAGE_ERROR
     kwargs = {}
     if args.config:
-        with open(args.config) as f:
-            kwargs.update(json.load(f))
+        config = _read_json(args.config, "config file")
+        if not isinstance(config, dict):
+            raise ConfigurationError(f"config file {args.config!r} is not a JSON object")
+        kwargs.update(config)
     for key in ("N", "seed", "samples", "eta", "mode"):
         if getattr(args, key) is not None:
             kwargs[key] = getattr(args, key)

@@ -140,6 +140,8 @@ def load_gauge_field(obj) -> GaugeField:
     th = np.full((n, n + 1), np.nan)
     tv = np.full((n + 1, n), np.nan)
     bonds = _field_key(obj, "bonds", "the file")
+    if not isinstance(bonds, list):
+        raise DomainError(f"gauge field file: 'bonds' = {bonds!r} is not a list")
     for i, b in enumerate(bonds):
         x = _field_key(b, "x", f"bond {i}")
         theta = float(_field_number(b, "theta", f"bond {i}"))
@@ -180,8 +182,10 @@ class GaugeTransform:
         return cls(geom, wrap_angle(rng.uniform(-np.pi, np.pi,
                                                 size=(geom.n + 1, geom.n + 1))))
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.angles) <= tol))
+    def is_identity(self) -> bool:
+        """Test oracle: every angle is exactly 0, as the axial fix of an
+        axial field and the gauge-fixing fallback must return."""
+        return not self.angles.any()
 
 
 def apply_gauge(g: GaugeField, u: GaugeTransform) -> GaugeField:
@@ -215,11 +219,6 @@ class LatticeLoop:
     @property
     def length(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def interior(self) -> bool:
-        n = 1 << self.scale
-        return all(0 < k1 < n and 0 < k2 < n for (k1, k2) in self.nodes)
 
 
 def plaquette_loop(geom: LatticeGeometry, k1: int, k2: int) -> LatticeLoop:
@@ -338,6 +337,8 @@ def covariant_derivative(g: GaugeField, phi: np.ndarray) -> dict[Bond, complex]:
     """(d_g phi)(x,y) = 2^N (g_xy phi_y - phi_x) on positively oriented bonds.
 
     `phi` is a full (n+1, n+1) complex node array (boundary values included).
+    Test oracle, bond by bond in Python: the summation-by-parts identity
+    -<phi, Lap_g phi'> = (1/2) <d_g phi, d_g phi'> checks covariant_laplacian.
     """
     n = g.geom.n
     out = {}
@@ -354,7 +355,8 @@ def covariant_derivative(g: GaugeField, phi: np.ndarray) -> dict[Bond, complex]:
 
 
 def interior_to_grid(geom: LatticeGeometry, vec: np.ndarray) -> np.ndarray:
-    """Embed an interior-node vector into a full (n+1, n+1) grid, zero boundary."""
+    """Embed an interior-node vector into a full (n+1, n+1) grid, zero
+    boundary: the input covariant_derivative's test oracle takes."""
     n = geom.n
     grid = np.zeros((n + 1, n + 1), dtype=complex)
     grid[1:n, 1:n] = vec.reshape(n - 1, n - 1).T

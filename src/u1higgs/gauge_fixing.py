@@ -130,7 +130,6 @@ def _prefix_tables(g: GaugeField):
 @dataclass
 class LandauDiagnostics:
     violations_per_scale: dict[int, int] = field(default_factory=dict)
-    cells_per_scale: dict[int, int] = field(default_factory=dict)
     max_smallness_residual: float = 0.0  # |sum beta - 2 pi k| observed
 
     @property
@@ -212,7 +211,6 @@ def landau_extend(g: GaugeField, u_m: GaugeTransform, m: int
         alpha1 = 0.375 * (beta[0] - beta[3]) + 0.125 * (beta[1] - beta[2])
         U[1::2, 1::2] = np.where(
             violated, 0.0, wrap_angle(alpha1 - at(H, 0, 0) + at(U, 1, 0)))
-        diag.cells_per_scale[scale] = nc * nc
     if np.isnan(u).any():
         raise DomainError("landau extension left unassigned nodes")
     return GaugeTransform(g.geom, wrap_angle(u)), diag
@@ -246,14 +244,14 @@ def landau_alpha_formula(beta):
 @dataclass
 class GaugeFixReport:
     alpha: float
-    flatness_value: float
+    flatness: float
     flatness_argmax: Rect | None
     theorem_m: int
     used_m: int | None
     fallback: bool
     forced_scale: bool
     violations: int
-    smallness_violations_per_scale: dict[int, int]
+    violations_per_scale: dict[int, int]
     axial_thin_sup: float | None       # C in the axial-gauge lemma, at scale m
     axial_max_bond_log: float | None   # max_b |log (g_m^u)_b| after axial fix
     hypothesis_simple: bool | None     # [g]_a 2^{-(m+1)a/2} < pi
@@ -333,11 +331,11 @@ def gauge_fix(g: GaugeField, alpha: float, betas=(0.5,), kappa: float = 0.25,
                                        + 4.0 * f_bk[beta] * 2.0 ** (-(used_m + 1) * kappa)
                                        / (1.0 - 2.0 ** (-kappa)))
     report = GaugeFixReport(
-        alpha=alpha, flatness_value=fr.value, flatness_argmax=fr.argmax,
+        alpha=alpha, flatness=fr.value, flatness_argmax=fr.argmax,
         theorem_m=m_theorem, used_m=used_m, fallback=fallback,
         forced_scale=force_m is not None,
         violations=sum(violations_per_scale.values()),
-        smallness_violations_per_scale=violations_per_scale,
+        violations_per_scale=violations_per_scale,
         axial_thin_sup=axial_sup, axial_max_bond_log=axial_max,
         hypothesis_simple=hyp_simple, hypothesis_landau=hyp_landau,
         norms=norms_out, trivial_bound=trivial, gr_bound=gr_bound)

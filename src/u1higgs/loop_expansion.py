@@ -46,6 +46,7 @@ from .lattice_geom import DomainError, LatticeGeometry, ResourceError
 DEFAULT_MAX_LEN = 16
 DFS_NODE_BUDGET = 5_000_000  # generator nodes (walk prefixes) per enumeration
 MULTISET_BUDGET = 2_000_000
+RADIUS_TOL = 1e-13  # relative tail mass left beyond a radial cutoff
 
 
 class NumericalError(RuntimeError):
@@ -104,7 +105,7 @@ class RadialMeasure:
         self.moment_fn = moment_fn
         self.name = name or kind
         self._cache: dict[int, float] = {}
-        self._radius: dict[tuple[float, float], float] = {}
+        self._radius: dict[float, float] = {}
 
     @classmethod
     def dirac0(cls) -> "RadialMeasure":
@@ -148,16 +149,17 @@ class RadialMeasure:
         self._cache[j] = out
         return out
 
-    def radius_for(self, growth: float, tol: float = 1e-13) -> float:
-        """Radius R with tail integral of e^{growth s^2} w(s) below tol (relative).
+    def radius_for(self, growth: float) -> float:
+        """Radius R with tail integral of e^{growth s^2} w(s) below RADIUS_TOL
+        (relative).
 
         Only meaningful for the 'density' kind; exploits the assumed
         better-than-Gaussian tails.
         """
         if self.kind != "density":
             raise DomainError("radius_for applies to density measures")
-        if (growth, tol) in self._radius:
-            return self._radius[growth, tol]
+        if growth in self._radius:
+            return self._radius[growth]
 
         def f(s):
             w = self.density(s)
@@ -169,24 +171,25 @@ class RadialMeasure:
         total, _ = integrate.quad(f, 0.0, np.inf, limit=200)
         if not np.isfinite(total) or total >= 1e280:
             raise NumericalError("density integral with growth term diverges")
-        self._radius[growth, tol] = R = _tail_radius(f, total, tol)
+        self._radius[growth] = R = _tail_radius(f, total)
         return R
 
-    def radius_for_moment(self, jmax: int, tol: float = 1e-13) -> float:
-        """Radius R whose tail contribution to moment(jmax) is below tol."""
+    def radius_for_moment(self, jmax: int) -> float:
+        """Radius R whose tail contribution to moment(jmax) is below RADIUS_TOL
+        (relative)."""
         if self.kind != "density":
             raise DomainError("radius_for_moment applies to density measures")
         return _tail_radius(lambda s: self.density(s) * s ** (2 * jmax),
-                            self.moment(jmax), tol)
+                            self.moment(jmax))
 
 
-def _tail_radius(f, total: float, tol: float) -> float:
-    """First R in 2 * 1.5^k whose tail integral of f is below tol * total."""
+def _tail_radius(f, total: float) -> float:
+    """First R in 2 * 1.5^k whose tail integral of f is below RADIUS_TOL * total."""
     from scipy import integrate
     R = 2.0
     for _ in range(60):
         tail, _ = integrate.quad(f, R, np.inf, limit=200)
-        if tail <= tol * max(total, 1e-300):
+        if tail <= RADIUS_TOL * max(total, 1e-300):
             return R
         R *= 1.5
     raise NumericalError("could not find a truncation radius")
@@ -702,14 +705,13 @@ def _tail_majorant(G: MultiGraph, M: OperatorAssignment, lam, T: int) -> float:
 # brute-force quadrature oracle
 # --------------------------------------------------------------------------
 
+QUADRATURE_RTOL, QUADRATURE_ATOL = 1e-7, 1e-12  # brute_force_integral's refinement test
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     radial_nodes: int = 32
     angular_nodes: int = 32
-    radius: float | None = None
-    refine: bool = True
-    rtol: float = 1e-7
-    atol: float = 1e-12
 
 
 @dataclass
@@ -756,8 +758,7 @@ def _sphere_points(fieldtag: str, d: int, K: int):
 
 def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
                radius: Callable[[RadialMeasure], float]):
-    """Product nodes/weights of one site; a density's radial cutoff is
-    spec.radius, else radius(lam)."""
+    """Product nodes/weights of one site; a density's radial cutoff is radius(lam)."""
     if lam.kind == "dirac0":
         pts = np.zeros((1, d), dtype=complex if fieldtag == "C" else float)
         return pts, np.array([sphere_mass(fieldtag, d)])
@@ -765,7 +766,7 @@ def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
     if lam.kind == "discrete":
         radii, rw = np.array(lam.points, dtype=float).reshape(-1, 2).T
     else:
-        R = spec.radius if spec.radius is not None else radius(lam)
+        R = radius(lam)
         x, w = np.polynomial.legendre.leggauss(spec.radial_nodes)
         radii = 0.5 * R * (x + 1.0)
         rw = 0.5 * R * w * np.array([lam.density(s) for s in radii])
@@ -828,13 +829,10 @@ def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
     lam = dict(lam)
     _dimension_guard(G.vertices, lam, M.fieldtag, M.dim, "total real")
     v1 = _integrate_once(G, M, lam, spec)
-    if not spec.refine:
-        return QuadratureResult(v1, math.nan)
     v2 = _integrate_once(G, M, lam, replace(spec, radial_nodes=2 * spec.radial_nodes,
-                                            angular_nodes=2 * spec.angular_nodes,
-                                            refine=False))
+                                            angular_nodes=2 * spec.angular_nodes))
     err = abs(v2 - v1)
-    if err > max(spec.atol, spec.rtol * abs(v2)):
+    if err > max(QUADRATURE_ATOL, QUADRATURE_RTOL * abs(v2)):
         raise NumericalError(
             f"quadrature not converged: coarse={v1}, fine={v2}, err={err}")
     return QuadratureResult(v2, err)

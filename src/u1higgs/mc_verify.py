@@ -26,6 +26,7 @@ from .sampler import (ChainConfig, PotentialSpec, check_weight_method, sample_in
                       sample_pure_angles)
 
 N_BATCHES = 32
+PURE_BATCH = 20_000  # pure-gauge samples drawn per array in _pure_loop_sums
 SIGMA_POLICY = 3.0
 # calibration-derived bound constant for the plaquette-sum moment shape
 # E|sum l(p) log g(dp)|^q <= (C q sqrt(omega))^q; pure-gauge values of the
@@ -74,14 +75,14 @@ def _plain(obj):
     return obj
 
 
-def batch_means_stderr(values: np.ndarray, n_batches: int = N_BATCHES) -> float:
-    """Standard error of the mean via batch means (>= 32 batches)."""
+def batch_means_stderr(values: np.ndarray) -> float:
+    """Standard error of the mean via N_BATCHES batch means."""
     v = np.asarray(values, dtype=float)
-    n = len(v) - (len(v) % n_batches)
-    if n < n_batches:
+    n = len(v) - (len(v) % N_BATCHES)
+    if n < N_BATCHES:
         return float(v.std(ddof=1) / math.sqrt(max(len(v), 2)))
-    means = v[:n].reshape(n_batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+    means = v[:n].reshape(N_BATCHES, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(N_BATCHES))
 
 
 def half_square_loop(geom) -> LatticeLoop:
@@ -90,14 +91,14 @@ def half_square_loop(geom) -> LatticeLoop:
     return rect_boundary_loop(geom, Rect(0, 0, h, h, geom.N))
 
 
-def _pure_loop_sums(geom, w, samples, seed, batch=20_000, wrapped=False):
+def _pure_loop_sums(geom, w, samples, seed, wrapped=False):
     """Stream pure-gauge samples; returns (sums, wrap_event_count)."""
     gen = rngmod.stream(seed, geom.N, tag="")
     out = np.empty(samples)
     wraps = 0
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(PURE_BATCH, samples - done)
         X = sample_pure_angles(geom, gen, count=m)
         wraps += int((np.abs(X) >= np.pi).any(axis=(1, 2)).sum())
         Y = wrap_angle(X) if wrapped else X

@@ -1,6 +1,7 @@
 """Probability layer: exact pure-gauge sampling, the wrapped-Gaussian heat
-kernel, the Higgs weight with three interchangeable estimators, and
-Metropolis sampling of the interacting plaquette-angle measure.
+kernel, the Higgs weight by loop expansion (exact at N = 1, where the one
+interior site carries no loop) or by Monte Carlo, and Metropolis sampling of
+the interacting plaquette-angle measure.
 
 Normalization convention for the Higgs weight: every estimator targets
 
@@ -22,13 +23,7 @@ import numpy as np
 from . import rng as rngmod
 from .gauge_core import GaugeField, _stencil_tables, covariant_precision, wrap_angle
 from .lattice_geom import DomainError, LatticeGeometry
-from .loop_expansion import (
-    HIGGS_MAX_LEN,
-    NumericalError,
-    c_coeff,
-    higgs_loop_coefficients,
-    higgs_site_measure,
-)
+from .loop_expansion import HIGGS_MAX_LEN, NumericalError, higgs_loop_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,12 +76,15 @@ def sample_pure_angles(geom: LatticeGeometry, rng: np.random.Generator,
     return rng.normal(0.0, sigma, size=shape)
 
 
-def heat_kernel_u1(x, N: int, tol: float = 1e-16):
+HEAT_KERNEL_TOL = 1e-16
+
+
+def heat_kernel_u1(x, N: int):
     """Wrapped-Gaussian density on U(1) at time t = 2^-2N, period 2 pi.
 
     Q(x) = (2 pi t)^(-1/2) sum_n exp(-(x + 2 pi n)^2 / (2t)), normalized to
     unit mass over one period; the image sum is truncated once terms drop
-    below `tol` relative to the accumulated value.
+    below HEAT_KERNEL_TOL relative to the accumulated value.
     """
     t = 4.0 ** (-N)
     x = np.asarray(x, dtype=float)
@@ -98,7 +96,7 @@ def heat_kernel_u1(x, N: int, tol: float = 1e-16):
         if n > 0:
             term = term + np.exp(-(x - TWO_PI * n) ** 2 / (2 * t))
         out += term
-        if np.all(term <= tol * np.maximum(out, 1e-300)) and n >= 1:
+        if np.all(term <= HEAT_KERNEL_TOL * np.maximum(out, 1e-300)) and n >= 1:
             break
         n += 1
     result = norm * out
@@ -218,9 +216,9 @@ class _MCKernel:
         return m * math.log(TWO_PI) - logdet[:, None] + np.subtract(r2, V, out=V).sum(axis=-1)
 
 
-# method name -> largest N it accepts (quadrature is exact only at N = 1)
+# method name -> largest N it accepts
 WEIGHT_METHODS = {"monte-carlo": MC_MAX_SCALE, "loop-expansion": LOOP_MAX_SCALE,
-                  "quadrature": 1, "constant": math.inf}
+                  "constant": math.inf}
 
 
 def check_weight_method(method: str, N: int) -> None:
@@ -251,8 +249,8 @@ class _WeightModel:
         """log D-hat for X of shape (..., n, n).  Monte Carlo takes a batch
         (B, n, n) and draws the importance normals of row b from gens[b];
         the other methods are deterministic and ignore `gens`."""
-        if self.method in ("constant", "quadrature"):
-            return np.zeros(X.shape[:-2])  # quadrature: independent of g at N = 1
+        if self.method == "constant":
+            return np.zeros(X.shape[:-2])
         if self.method == "loop-expansion":
             flat = X.swapaxes(-1, -2).reshape(*X.shape[:-2], -1)
             vals = np.cos(flat @ self._wmat.T) @ self._cvec
@@ -270,12 +268,9 @@ class _WeightModel:
     def estimate(self, g: GaugeField, rng: np.random.Generator | None = None
                  ) -> WeightEstimate:
         """D(g) with its error.  Only this builds the coarse loop coefficients
-        of the error proxy and the quadrature value: a chain's model needs neither."""
+        of the error proxy: a chain's model does not need them."""
         if self.method == "constant":
             raise DomainError("the constant weight is a chain debug mode, not an estimator")
-        if self.method == "quadrature":
-            value = c_coeff(0, higgs_site_measure(self.pot), "C", 1)  # 2 pi * moment(0)
-            return WeightEstimate(value, 0.0, "quadrature")
         if self.method == "loop-expansion":
             value = self._coeffs.evaluate(g)
             coarse = higgs_loop_coefficients(self.geom, self.pot, HIGGS_MAX_LEN - 2)
@@ -305,9 +300,10 @@ def higgs_weight(g: GaugeField, pot: PotentialSpec, method: str = "monte-carlo",
                  n_samples: int = 4096) -> WeightEstimate:
     """D(g) by any method but "constant"; Monte Carlo draws from `rng` (default seed 0).
 
-    Quadrature is exact at N = 1, where the single interior site decouples
-    from g.  The loop expansion is truncated at HIGGS_MAX_LEN; its error is
-    the difference against the truncation two orders lower.  Monte Carlo
+    The loop expansion is truncated at HIGGS_MAX_LEN; its error is the
+    difference against the truncation two orders lower.  At N = 1 the single
+    interior site carries no loop, so the expansion is the exact one-site
+    integral c_0 and its error is 0.0.  Monte Carlo
     importance-samples `n_samples` draws from the complex Gaussian with
     precision I - 2^-2N Lap_g, which dominates the quadratic part of the
     target; `NumericalError` is raised where the squared weights overflow."""
@@ -347,8 +343,6 @@ class ChainResult:
     X: np.ndarray                # (n_chains, samples, n, n) kept states
     acceptance: np.ndarray       # per chain
     iat: float                   # integrated autocorrelation of sum X_p^2
-    method: str
-    seed: int
     warnings: tuple[str, ...] = ()
 
     def flat(self) -> np.ndarray:
@@ -459,4 +453,4 @@ def sample_interacting(geom: LatticeGeometry, pot: PotentialSpec,
     warnings = ()
     if np.any(acc < 0.05):
         warnings = (f"acceptance rate below 0.05: {acc}",)
-    return ChainResult(kept, acc, iat, method, cfg.seed, warnings)
+    return ChainResult(kept, acc, iat, warnings)

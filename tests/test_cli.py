@@ -127,8 +127,10 @@ def _bond(obj, x, d):
     (lambda obj, n: _bond(obj, [0, 0], 1).update(theta="x"), "'theta' = 'x', not a number"),
     (lambda obj, n: _bond(obj, [0, 0], 1).update(theta=None), "'theta' = None, not a number"),
     (lambda obj, n: _bond(obj, [0, 0], 1).update(theta=True), "'theta' = True, not a number"),
+    (lambda obj, n: obj.update(bonds=5), "'bonds' = 5 is not a list"),
 ], ids=["negative", "past_edge", "vertical_past_edge", "no_dir", "no_bonds",
-        "N_string", "N_float", "N_bool", "theta_string", "theta_null", "theta_bool"])
+        "N_string", "N_float", "N_bool", "theta_string", "theta_null", "theta_bool",
+        "bonds_not_list"])
 @pytest.mark.parametrize("command", ["gaugefix", "norms"])
 def test_bad_gauge_field_file_is_usage_error(command, edit, message, tmp_path, capsys):
     # these used to load as a wrong field (N=1.7 or true as N=1, theta true
@@ -137,6 +139,23 @@ def test_bad_gauge_field_file_is_usage_error(command, edit, message, tmp_path, c
     out = str(tmp_path / "o")
     assert run([command, "--field", _field_file(tmp_path, edit), "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("broken", ["truncated", "missing"])
+@pytest.mark.parametrize("command", ["gaugefix", "norms"])
+def test_unreadable_gauge_field_file_is_usage_error(command, broken, tmp_path, capsys):
+    # these used to end in a JSONDecodeError or FileNotFoundError traceback
+    # with exit 1
+    path = _field_file(tmp_path, lambda obj, n: None)
+    if broken == "truncated":
+        with open(path, "r+") as f:
+            f.truncate(len(f.read()) // 2)
+    else:
+        os.remove(path)
+    out = str(tmp_path / "o")
+    assert run([command, "--field", path, "--out", out]) == 2
+    assert "cannot read gauge-field file" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -221,14 +240,43 @@ def test_loopexp_missing_graph_key_is_usage_error(drop, tmp_path, capsys):
       "measures": {"x": {"kind": "discrete"}}}, "no 'points' key"),
     ({"field": "C", "dim": 1, "vertices": ["x"],
       "edges": [{"from": "x", "to": "x", "value": "0.3i"}]}, "edge 0 value '0.3i'"),
-], ids=["matrix_shape", "discrete_points", "value"])
+    ({"field": "C", "dim": "two", "vertices": ["x"],
+      "edges": [{"from": "x", "to": "x", "value": 0.3}]}, "'dim' = 'two' is not an integer"),
+    ([{"field": "C"}], "the graph is not a JSON object"),
+    ({"field": "C", "dim": 1, "vertices": ["x"],
+      "edges": [{"from": "x", "to": "x", "value": 0.3}],
+      "measures": {"x": "gaussian_type"}}, "measure of 'x' is not a JSON object"),
+    ({"field": "C", "dim": 1, "vertices": ["x"], "edges": 5}, "must be lists"),
+    ({"field": "C", "dim": 1, "vertices": 5, "edges": []}, "must be lists"),
+], ids=["matrix_shape", "discrete_points", "value", "dim_string", "top_level_list",
+        "measure_not_object", "edges_not_list", "vertices_not_list"])
 def test_loopexp_bad_graph_entry_is_usage_error(graph, message, tmp_path, capsys):
-    # these used to end in an IndexError, KeyError or ValueError traceback
-    # with exit 1
+    # these used to end in an IndexError, KeyError, ValueError,
+    # AttributeError or TypeError traceback with exit 1
     code, ledger = _loopexp(tmp_path, graph)
     assert code == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(ledger)
+
+
+def test_loopexp_truncated_graph_file_is_usage_error(tmp_path, capsys):
+    # used to end in a JSONDecodeError traceback with exit 1
+    gpath = str(tmp_path / "graph.json")
+    with open(gpath, "w") as f:
+        f.write('{"field": "C", "dim": 1, "vertices": ["x"')
+    out = str(tmp_path / "o")
+    assert run(["loopexp", "--graph", gpath, "--out", out]) == 2
+    assert "cannot read graph file" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_quadrature_weight_method_is_usage_error(tmp_path):
+    # the N = 1 quadrature method repeated the loop expansion, which is exact
+    # there; it is no longer a --method choice
+    out = str(tmp_path / "o")
+    assert run(["sample", "interacting", "--N", "1", "--samples", "5",
+                "--method", "quadrature", "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_verify_cli_pass_and_exit_codes(tmp_path):
@@ -273,6 +321,18 @@ def test_verify_config_file(tmp_path):
         json.dump(cfg, f)
     assert run(["verify", "decorrelation", "--config", cpath,
                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("content", ['{"eta": 0.5', "[1, 2]"], ids=["truncated", "list"])
+def test_bad_verify_config_file_is_usage_error(content, tmp_path, capsys):
+    # these used to end in a JSONDecodeError or TypeError traceback with exit 1
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as f:
+        f.write(content)
+    out = str(tmp_path / "o")
+    assert run(["verify", "mgf", "--config", cpath, "--out", out]) == 2
+    assert "config file" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_usage_error_no_command():

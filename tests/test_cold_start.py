@@ -39,10 +39,9 @@ def test_import_and_lattice_cli_do_not_load_scipy(tmp_path):
     assert loaded == "", f"loaded at cold start: {loaded}"
 
 
-@pytest.mark.parametrize("method", ["constant", "quadrature"])
+@pytest.mark.parametrize("method", ["constant"])
 def test_weight_free_chain_does_not_load_scipy(tmp_path, method):
-    # the weight model imports the triangular solve for Monte Carlo only, and
-    # the quadrature value is built for a single-field estimate only
+    # the weight model imports the triangular solve for Monte Carlo only
     loaded = _scipy_loaded_by(tmp_path, "sample", "interacting", "--N", "1",
                               "--method", method, "--samples", "5")
     assert loaded == "", f"loaded by a {method} chain: {loaded}"

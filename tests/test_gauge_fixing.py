@@ -380,7 +380,7 @@ def test_landau_smallness_zero_violations_smooth():
 def test_gauge_fix_identity_field():
     g = GaugeField.identity(build_lattice(4))
     u, rep = gauge_fix(g, 0.5)
-    assert rep.flatness_value == 0.0
+    assert rep.flatness == 0.0
     assert rep.theorem_m == 4 and rep.used_m == 4 and not rep.fallback
     assert rep.norms[0.5]["norm_full"] == 0.0
 
@@ -402,7 +402,7 @@ def test_gauge_fix_gauge_invariant_scale_choice():
     _, rep1 = gauge_fix(g, 0.5, betas=())
     _, rep2 = gauge_fix(apply_gauge(g, v), 0.5, betas=())
     assert rep1.theorem_m == rep2.theorem_m
-    assert rep1.flatness_value == pytest.approx(rep2.flatness_value, rel=1e-9)
+    assert rep1.flatness == pytest.approx(rep2.flatness, rel=1e-9)
 
 
 def test_gauge_fix_deterministic():

@@ -23,7 +23,7 @@ from u1higgs.gauge_core import (
     winding_vector,
 )
 from u1higgs.lattice_geom import DomainError, Rect, build_lattice
-from u1higgs.loop_expansion import NumericalError
+from u1higgs.loop_expansion import NumericalError, c_coeff, higgs_site_measure
 from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
     BLOCK_STEPS,
@@ -161,11 +161,30 @@ def test_heat_kernel_matches_plaquette_distribution():
 
 # ---------------------------------------------------------------- Higgs weight
 
+def _one_site_weight(pot):
+    """D(g) at N = 1: the one-site integral c_0, 2 pi times moment 0."""
+    return c_coeff(0, higgs_site_measure(pot), "C", 1)
+
+
+@pytest.mark.parametrize("pot", [QUARTIC, PotentialSpec(c=4.0), PotentialSpec(c=-2.0),
+                                 PotentialSpec("custom", func=lambda x: x ** 6 + x ** 4,
+                                               growth_exponent=6.0)],
+                         ids=["c1", "c4", "c-2", "x6+x4"])
+def test_loop_expansion_weight_is_exact_at_n1(pot):
+    # one interior site and no interior bond: the expansion has no loop, so
+    # it is the one-site integral for every field, with no truncation error
+    geom = build_lattice(1)
+    for seed in (6, 7, 8):
+        w = higgs_weight(GaugeField.random(geom, stream(seed)), pot, "loop-expansion")
+        assert w.value == _one_site_weight(pot)
+        assert w.stderr == 0.0
+
+
 def test_quadrature_weight_n1_independent_of_g():
     geom = build_lattice(1)
-    w = higgs_weight(GaugeField.random(geom, stream(6)), QUARTIC, "quadrature")
-    w2 = higgs_weight(GaugeField.random(geom, stream(7)), QUARTIC, "quadrature")
-    assert w.value == pytest.approx(w2.value, rel=1e-10)
+    w = higgs_weight(GaugeField.random(geom, stream(6)), QUARTIC, "loop-expansion")
+    w2 = higgs_weight(GaugeField.random(geom, stream(7)), QUARTIC, "loop-expansion")
+    assert w.value == w2.value == _one_site_weight(QUARTIC)
     assert w.stderr == 0.0
     # explicit 2D quadrature oracle: 2 * int exp(-4 s^2 - V(s)) over the plane
     oracle, _ = integrate.quad(
@@ -177,7 +196,7 @@ def test_quadrature_weight_n1_independent_of_g():
 def test_mc_weight_agrees_with_quadrature_n1():
     geom = build_lattice(1)
     g = GaugeField.random(geom, stream(8))
-    exact = higgs_weight(g, QUARTIC, "quadrature").value
+    exact = _one_site_weight(QUARTIC)
     est = higgs_weight_mc(g, QUARTIC, stream(9), n_samples=20000)
     assert abs(est.value - exact) < 4 * est.stderr
     assert est.ess > 1000
@@ -351,9 +370,10 @@ def test_mc_vs_loop_expansion_n2():
 def test_weight_dispatch_and_positivity():
     geom = build_lattice(1)
     g = GaugeField.identity(geom)
-    for method in ("quadrature", "monte-carlo"):
+    for method in ("loop-expansion", "monte-carlo"):
         w = higgs_weight(g, QUARTIC, method, rng=stream(15))
         assert isinstance(w, WeightEstimate) and w.value > 0
+    assert higgs_weight(g, QUARTIC, "loop-expansion").value == _one_site_weight(QUARTIC)
     with pytest.raises(DomainError):
         higgs_weight(g, QUARTIC, "nonsense")
 
@@ -376,8 +396,7 @@ def test_unknown_weight_method_refused_before_any_stream(monkeypatch):
     assert opened == []
 
 
-@pytest.mark.parametrize("method, N", [("monte-carlo", 4), ("loop-expansion", 3),
-                                       ("quadrature", 2)])
+@pytest.mark.parametrize("method, N", [("monte-carlo", 4), ("loop-expansion", 3)])
 def test_chain_and_single_field_refuse_the_same_scale(method, N, monkeypatch):
     # one scale guard serves the chain and the single-field call
     geom = build_lattice(N)
@@ -385,8 +404,7 @@ def test_chain_and_single_field_refuse_the_same_scale(method, N, monkeypatch):
     gen = stream(6)
 
     no_work = _no_mc_work(monkeypatch, "work started above the method's scale limit")
-    for name in ("higgs_loop_coefficients", "higgs_site_measure"):
-        monkeypatch.setattr(sampler_module, name, no_work)
+    monkeypatch.setattr(sampler_module, "higgs_loop_coefficients", no_work)
     monkeypatch.setattr(rng_module, "stream", no_work)
     cfg = ChainConfig(samples=5, burn_in=1, thin=1, n_chains=1, seed=1)
     calls = [lambda: sample_interacting(geom, QUARTIC, cfg, method=method),
@@ -409,9 +427,9 @@ def test_constant_weight_is_no_single_field_estimate():
 
 def test_weight_estimate_rejects_nonpositive():
     with pytest.raises(DomainError):
-        WeightEstimate(0.0, 0.0, "quadrature")
+        WeightEstimate(0.0, 0.0, "loop-expansion")
     with pytest.raises(DomainError):
-        WeightEstimate(-1.0, 0.0, "quadrature")
+        WeightEstimate(-1.0, 0.0, "loop-expansion")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -541,12 +559,13 @@ def test_two_seeds_agree_statistically():
 
 def test_pseudo_marginal_matches_exact_at_n1():
     # at N = 1 the weight is constant, so the pseudo-marginal chain with a
-    # noisy estimator must reproduce the pure-gauge second moment
+    # noisy estimator must reproduce the pure-gauge second moment, which the
+    # constant-weight chain samples exactly
     geom = build_lattice(1)
     cfg = ChainConfig(samples=3000, burn_in=500, thin=4, n_chains=2, seed=55,
                       n_is=16)
     noisy = sample_interacting(geom, QUARTIC, cfg, method="monte-carlo")
-    exact = sample_interacting(geom, QUARTIC, cfg, method="quadrature")
+    exact = sample_interacting(geom, QUARTIC, cfg, method="constant")
     m_noisy = (noisy.flat() ** 2).mean(axis=0)
     m_exact = (exact.flat() ** 2).mean(axis=0)
     target = 4.0 ** (-1)
