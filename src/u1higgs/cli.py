@@ -18,6 +18,7 @@ import json
 import os
 import secrets
 import sys
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -298,6 +299,50 @@ def _append_csv_ledger(path, result):
                 f"{fmt(result.stderr)},{ref},{result.sample_size},{result.seed}\n")
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               dict: "a JSON object", type(None): "null"}
+
+
+def _fits(value, kind, default) -> bool:
+    """Whether a JSON value can stand for a parameter of type `kind`; a
+    tuple's items must fit the type of the default's first item."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:
+        return isinstance(value, list) and all(_fits(v, type(default[0]), None)
+                                               for v in value)
+    return kind in _KIND_NAMES and isinstance(value, kind)
+
+
+def _check_experiment_kwargs(experiment: str, kwargs: dict) -> None:
+    """Refuse unknown, missing and mistyped experiment parameters before any
+    work.  A value must fit the type of the parameter's default, or of its
+    annotation where the default is missing or None."""
+    params = inspect.signature(EXPERIMENTS[experiment], eval_str=True).parameters
+    unknown = sorted(set(kwargs) - set(params))
+    if unknown:
+        raise ConfigurationError(f"experiment {experiment!r} takes no "
+                                 f"parameter {unknown[0]!r}; it takes {list(params)}")
+    missing = [key for key, p in params.items() if p.default is p.empty and key not in kwargs]
+    if missing:
+        raise ConfigurationError(f"experiment {experiment!r} needs parameter {missing[0]!r}")
+    for key, value in kwargs.items():
+        p = params[key]
+        if p.default is p.empty or p.default is None:
+            kinds = typing.get_args(p.annotation) or (p.annotation,)
+        else:
+            kinds = (type(p.default),)
+        if not any(_fits(value, kind, p.default) for kind in kinds):
+            want = " or ".join(
+                "a list of " + {int: "integers", float: "numbers"}[type(p.default[0])]
+                if kind is tuple else _KIND_NAMES.get(kind, f"a {kind.__name__}")
+                for kind in kinds)
+            raise ConfigurationError(f"experiment {experiment!r}: parameter {key!r} = "
+                                     f"{value!r} is not {want}")
+
+
 def cmd_verify(args):
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; choose from "
@@ -312,13 +357,9 @@ def cmd_verify(args):
     for key in ("N", "seed", "samples", "eta", "mode"):
         if getattr(args, key) is not None:
             kwargs[key] = getattr(args, key)
+    _check_experiment_kwargs(args.experiment, kwargs)
     if "N_list" in kwargs:
         kwargs["N_list"] = tuple(kwargs["N_list"])
-    accepted = inspect.signature(EXPERIMENTS[args.experiment]).parameters
-    unknown = sorted(set(kwargs) - set(accepted))
-    if unknown:
-        raise ConfigurationError(f"experiment {args.experiment!r} takes no "
-                                 f"parameter {unknown[0]!r}; it takes {list(accepted)}")
     result = EXPERIMENTS[args.experiment](**kwargs)
     out = _ensure_outdir(args)
     _append_csv_ledger(os.path.join(out, "results.csv"), result)

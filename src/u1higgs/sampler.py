@@ -126,6 +126,7 @@ MC_MAX_SCALE = 3  # above this the importance weights give no usable estimate
 LOOP_MAX_SCALE = 2
 ESS_WARN_FRACTION = 0.1
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+MC_KERNEL_ELEMENTS = 1 << 14  # rows * n_is * m of the kernel's work buffers
 
 
 class _MCKernel:
@@ -139,12 +140,15 @@ class _MCKernel:
 
     Built once per weight model: it imports SciPy's LAPACK (SciPy's linalg
     takes about 0.5 s to load), and it holds the zero field's precision as
-    a template: the horizontal hops of an axial field are fixed, so each call
-    writes only the vertical-bond phases.  Each field's precision is stored
-    column-major (entry (x, y) at the row-major position of (y, x)), so that
-    zpotrf factors it and ztrtrs solves into the normals without a copy.
-    Work buffers are kept per batch size and overwritten by the next call;
-    the returned log-weights are a fresh array.
+    a template: the horizontal hops of an axial field are fixed, so a field
+    needs only its vertical-bond phases written.  Each field's precision is
+    stored column-major (entry (x, y) at the row-major position of (y, x)),
+    so that zpotrf factors it and ztrtrs solves into the normals without a
+    copy.  One set of work buffers holds as many rows as fit in
+    MC_KERNEL_ELEMENTS (at least one): a batch is weighed in chunks of that
+    many rows, in row order, so the generators are read as in one pass and
+    the bits do not depend on the chunking.  The returned log-weights are a
+    fresh array.
     """
 
     def __init__(self, N: int, pot: PotentialSpec, n_is: int):
@@ -161,59 +165,64 @@ class _MCKernel:
         # the flat entry (k1 - 1) * n + k2 of the column cumsum of X
         self._vert_fwd, self._vert_bwd = bwd[vert], fwd[vert]
         self._vert_x = bond[vert] - n * (n + 2)
-        self._buffers = {}
-
-    def _work(self, B: int):
-        if B not in self._buffers:
-            shape = (B, self.n_is, self.m)
-            self._buffers[B] = (np.empty((B, self.m * self.m), dtype=complex),
-                                np.empty((B, 2, self.n_is, self.m)),
-                                np.empty(shape, dtype=complex),
-                                np.empty(shape), np.empty(shape), np.empty(shape))
-        return self._buffers[B]
+        rows = max(1, MC_KERNEL_ELEMENTS // (n_is * self.m))
+        shape = (rows, n_is, self.m)
+        self._buffers = (np.empty((rows, self.m * self.m), dtype=complex),
+                         np.empty((rows, 2, n_is, self.m)),
+                         np.empty(shape, dtype=complex),
+                         np.empty(shape), np.empty(shape), np.empty(shape))
 
     def axial(self, X: np.ndarray, gens) -> np.ndarray:
         """Log-weights of the axial-gauge fields with plaquette angles X (B, n, n)."""
-        B = len(X)
-        P = self._work(B)[0]
-        cum = np.cumsum(X, axis=-2).reshape(B, -1)
+        cum = np.cumsum(X, axis=-2).reshape(len(X), -1)
         phase = np.exp(1j * wrap_angle(cum[:, self._vert_x]))
-        P[:] = self._template
-        P[:, self._vert_fwd] = -1.0 * phase
-        P[:, self._vert_bwd] = -1.0 * phase.conj()
-        return self._log_w(gens)
+
+        def fill(P, rows):
+            P[:] = self._template
+            P[:, self._vert_fwd] = -1.0 * phase[rows]
+            P[:, self._vert_bwd] = -1.0 * phase[rows].conj()
+        return self._log_w(fill, gens)
 
     def field(self, g: GaugeField, gen: np.random.Generator) -> np.ndarray:
         """Log-weights (n_is,) of one field in any gauge, drawn from gen."""
-        P = self._work(1)[0]
-        P.reshape(1, self.m, self.m).transpose(0, 2, 1)[:] = \
-            covariant_precision(g.geom.N, g.theta_h[None], g.theta_v[None])
-        return self._log_w([gen])[0]
+        def fill(P, rows):
+            P.reshape(1, self.m, self.m).transpose(0, 2, 1)[:] = \
+                covariant_precision(g.geom.N, g.theta_h[None], g.theta_v[None])
+        return self._log_w(fill, [gen])[0]
 
-    def _log_w(self, gens) -> np.ndarray:
-        B, m = len(gens), self.m
-        P, normals, z, r, r2, V = self._work(B)
-        for normals_b, gen in zip(normals, gens):
-            gen.standard_normal(out=normals_b)
-        normals *= math.sqrt(0.5)
-        z.real, z.imag = normals[:, 0], normals[:, 1]
-        P = P.reshape(B, m, m).transpose(0, 2, 1)
-        for b in range(B):
-            L, info = self._zpotrf(P[b], lower=1, clean=0, overwrite_a=1)
-            if info:
-                raise NumericalError(f"Cholesky factorization failed (info {info})")
-            _, info = self._ztrtrs(L, z[b].T, lower=1, trans=2, overwrite_b=1)
-            if info:
-                raise NumericalError(f"triangular solve failed (info {info})")
-        logdet = 2.0 * np.log(np.diagonal(P, axis1=1, axis2=2).real).sum(axis=1)
-        np.abs(z, out=r)
-        np.multiply(r, r, out=r2)
-        if self.pot.kind == "quartic":
-            np.multiply(r2, r2, out=V)
-            np.subtract(V, np.multiply(self.pot.c, r2, out=r), out=V)
-        else:
-            V[:] = np.vectorize(self.pot.evaluate)(r)
-        return m * math.log(TWO_PI) - logdet[:, None] + np.subtract(r2, V, out=V).sum(axis=-1)
+    def _log_w(self, fill, gens) -> np.ndarray:
+        """Log-weights of len(gens) rows; fill(P, rows) writes the precisions
+        of the slice `rows` of the batch into the leading rows P of the buffer."""
+        m, cap = self.m, len(self._buffers[0])
+        out = np.empty((len(gens), self.n_is))
+        for lo in range(0, len(gens), cap):
+            rows = slice(lo, lo + cap)
+            chunk = gens[rows]
+            P, normals, z, r, r2, V = (buf[:len(chunk)] for buf in self._buffers)
+            fill(P, rows)
+            for normals_b, gen in zip(normals, chunk):
+                gen.standard_normal(out=normals_b)
+            normals *= math.sqrt(0.5)
+            z.real, z.imag = normals[:, 0], normals[:, 1]
+            P = P.reshape(len(chunk), m, m).transpose(0, 2, 1)
+            for b in range(len(chunk)):
+                L, info = self._zpotrf(P[b], lower=1, clean=0, overwrite_a=1)
+                if info:
+                    raise NumericalError(f"Cholesky factorization failed (info {info})")
+                _, info = self._ztrtrs(L, z[b].T, lower=1, trans=2, overwrite_b=1)
+                if info:
+                    raise NumericalError(f"triangular solve failed (info {info})")
+            logdet = 2.0 * np.log(np.diagonal(P, axis1=1, axis2=2).real).sum(axis=1)
+            np.abs(z, out=r)
+            np.multiply(r, r, out=r2)
+            if self.pot.kind == "quartic":
+                np.multiply(r2, r2, out=V)
+                np.subtract(V, np.multiply(self.pot.c, r2, out=r), out=V)
+            else:
+                V[:] = np.vectorize(self.pot.evaluate)(r)
+            out[rows] = (m * math.log(TWO_PI) - logdet[:, None]
+                         + np.subtract(r2, V, out=V).sum(axis=-1))
+        return out
 
 
 # method name -> largest N it accepts
@@ -383,8 +392,27 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
 BLOCK_STEPS = 64  # chain steps drawn from one Philox stream per chain
 
 
+def _accept_scan(logw, logw_p, log_u):
+    """Metropolis-Hastings through one block, step by step in each chain.
+
+    logw (B,) are the log-weights of the block's start states, logw_p and
+    log_u (Kb, B) those of the proposals and the log-uniforms.  Returns the
+    (Kb, B) state index of every step, 0 for the start state and j + 1 for
+    proposal j, and the log-weights (B,) of the block's last states."""
+    index = np.empty(logw_p.shape, dtype=np.intp)
+    end = logw.tolist()
+    for b, (lw_p, lu) in enumerate(zip(logw_p.T.tolist(), log_u.T.tolist())):
+        state, lw, column = 0, end[b], []
+        for j, (w, u) in enumerate(zip(lw_p, lu), start=1):
+            if u < w - lw:
+                state, lw = j, w
+            column.append(state)
+        index[:, b], end[b] = column, lw
+    return index, np.array(end)
+
+
 def _run_chains(cfg, model, proposal_std):
-    """Step the cfg.n_chains chains as one (B, n, n) batch.
+    """Step the cfg.n_chains chains as one batch of B chains.
 
     Proposals are independent of the current state: proposal_std times
     standard normals, which is the pure-gauge law at proposal_std = 2^-N.
@@ -393,9 +421,16 @@ def _run_chains(cfg, model, proposal_std):
     Chain c starts from a pure-gauge draw of stream (seed, c, tag "init"),
     which also supplies its first weight estimate.  Its steps come in
     blocks of BLOCK_STEPS, each from one stream (seed, c, block, tag
-    "block"): the block's proposals and acceptance uniforms are drawn up
-    front, then the importance normals step by step.  A chain's draws
-    therefore do not depend on how many chains share the batch.
+    "block"): BLOCK_STEPS proposals and acceptance uniforms are drawn up
+    front, also in a final partial block of Kb < BLOCK_STEPS steps.  Since
+    no proposal depends on the chain state, the block's Kb proposals are
+    then weighed in one `model.log_weight` call on their step-major
+    (Kb * B, n, n) stack, with chain b's stream at every row of chain b, so
+    each chain reads its importance normals in step order, as a per-step
+    loop would; the Monte Carlo kernel takes the rows in capped chunks with
+    the same draws and the same bits.  The accept/reject decisions follow
+    as a scan over the (Kb, B) log-weights (`_accept_scan`).  A chain's
+    draws do not depend on how many chains share the batch.
     """
     geom = model.geom
     n, B, K = geom.n, cfg.n_chains, BLOCK_STEPS
@@ -406,23 +441,21 @@ def _run_chains(cfg, model, proposal_std):
     kept = np.empty((B, cfg.samples, n, n))
     accepted = np.zeros(B)
     stat = np.empty((B, total))
-    for step in range(total):
-        j = step % K
-        if j == 0:
-            gens = [rngmod.stream(cfg.seed, c, step // K, tag="block") for c in range(B)]
-            proposals = proposal_std * np.stack([gen.standard_normal((K, n, n))
-                                                 for gen in gens], axis=1)
-            log_u = np.log(np.stack([gen.random(K) for gen in gens], axis=1))
-        Xp = proposals[j]
-        logw_p = model.log_weight(Xp, gens)
-        acc = log_u[j] < logw_p - logw
-        X = np.where(acc[:, None, None], Xp, X)
-        logw = np.where(acc, logw_p, logw)
-        accepted += acc
-        stat[:, step] = (X ** 2).sum(axis=(1, 2))
-        k = step - cfg.burn_in
-        if k >= 0 and k % cfg.thin == 0:
-            kept[:, k // cfg.thin] = X
+    for start in range(0, total, K):
+        Kb = min(K, total - start)
+        gens = [rngmod.stream(cfg.seed, c, start // K, tag="block") for c in range(B)]
+        proposals = proposal_std * np.stack([gen.standard_normal((K, n, n))
+                                             for gen in gens], axis=1)
+        log_u = np.log(np.stack([gen.random(K) for gen in gens], axis=1))
+        logw_p = model.log_weight(proposals[:Kb].reshape(Kb * B, n, n), gens * Kb)
+        index, logw = _accept_scan(logw, logw_p.reshape(Kb, B), log_u[:Kb])
+        accepted += (index == np.arange(1, Kb + 1)[:, None]).sum(axis=0)
+        states = np.concatenate([X[None], proposals[:Kb]])[index, np.arange(B)]
+        stat[:, start:start + Kb] = (states ** 2).sum(axis=(2, 3)).T
+        k = np.arange(start, start + Kb) - cfg.burn_in
+        keep = (k >= 0) & (k % cfg.thin == 0)
+        kept[:, k[keep] // cfg.thin] = states[keep].swapaxes(0, 1)
+        X = states[-1]
     return kept, accepted / total, stat[:, cfg.burn_in:]
 
 

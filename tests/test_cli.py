@@ -335,6 +335,25 @@ def test_bad_verify_config_file_is_usage_error(content, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("experiment, argv, config, message", [
+    ("mgf", ["--N", "2"], {"samples": "ten"}, "'samples' = 'ten' is not an integer"),
+    ("flatness-moments", [], {"N_list": 3}, "'N_list' = 3 is not a list of integers"),
+    ("mgf", [], None, "needs parameter 'N'"),
+], ids=["samples-string", "N_list-int", "mgf-without-N"])
+def test_verify_parameter_types_are_usage_errors(experiment, argv, config, message,
+                                                 tmp_path, capsys):
+    # each of these used to end in a TypeError traceback with exit 1
+    if config is not None:
+        cpath = str(tmp_path / "cfg.json")
+        with open(cpath, "w") as f:
+            json.dump(config, f)
+        argv = argv + ["--config", cpath]
+    out = str(tmp_path / "o")
+    assert run(["verify", experiment, *argv, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_usage_error_no_command():
     assert run([]) == 2
 

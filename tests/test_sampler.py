@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
     BLOCK_STEPS,
     MC_MAX_SCALE,
+    WEIGHT_METHODS,
     ChainConfig,
     PotentialSpec,
     WeightEstimate,
@@ -327,6 +331,56 @@ def test_mc_chain_equals_oracle_chain(N, n_chains, monkeypatch):
     assert res.iat == ref.iat
 
 
+def test_mc_chain_bits_do_not_depend_on_the_row_cap(monkeypatch):
+    # a block weighed one row per kernel pass gives the same chain
+    geom = build_lattice(2)
+    cfg = ChainConfig(samples=20, burn_in=30, thin=2, n_chains=3, seed=66, n_is=16)
+    res = sample_interacting(geom, QUARTIC, cfg, method="monte-carlo")
+    monkeypatch.setattr(sampler_module, "MC_KERNEL_ELEMENTS", 1)
+    ref = sample_interacting(geom, QUARTIC, cfg, method="monte-carlo")
+    np.testing.assert_array_equal(res.X, ref.X)
+    np.testing.assert_array_equal(res.acceptance, ref.acceptance)
+    assert res.iat == ref.iat
+
+
+def test_mc_kernel_work_buffers_stay_within_the_row_cap(monkeypatch):
+    # one buffer set sized to MC_KERNEL_ELEMENTS serves every call: each
+    # block's 128 fields at N = 3 go through zpotrf in chunks of its rows
+    kernels, batches = [], []
+    zpotrf = scipy.linalg.lapack.zpotrf
+
+    class RecordingKernel(sampler_module._MCKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    def spy(a, **kwargs):
+        P = kernels[-1]._buffers[0]
+        offset = a.__array_interface__["data"][0] - P.__array_interface__["data"][0]
+        assert 0 <= offset < P.nbytes
+        row = offset // P.strides[0]
+        if row == 0:
+            batches.append(0)
+        assert row == batches[-1]
+        batches[-1] += 1
+        return zpotrf(a, **kwargs)
+
+    monkeypatch.setattr(sampler_module, "_MCKernel", RecordingKernel)
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", spy)
+    cfg = ChainConfig(samples=10, burn_in=70, thin=1, n_chains=2, seed=68, n_is=64)
+    sample_interacting(build_lattice(3), QUARTIC, cfg, method="monte-carlo")
+    (kernel,) = kernels
+    m, n_is = kernel.m, kernel.n_is
+    cap = len(kernel._buffers[0])
+    assert cap * n_is * m <= sampler_module.MC_KERNEL_ELEMENTS
+    # per kernel element: two normals, z, r, r2 and V; per row, one precision
+    per_element = 2 * 8 + 16 + 3 * 8 + 16 * m / n_is
+    assert sum(buf.nbytes for buf in kernel._buffers) \
+        <= sampler_module.MC_KERNEL_ELEMENTS * per_element
+    assert max(batches) == cap
+    assert sum(batches) == cfg.n_chains * (1 + cfg.burn_in + cfg.samples)
+
+
 def test_mc_estimate_of_non_axial_field_equals_oracle(monkeypatch):
     # higgs_weight_mc builds the precision from the field's own bond angles
     geom = build_lattice(2)
@@ -503,6 +557,103 @@ def test_chain_hits_exact_gaussian_target(N, s):
     batch_means = x2.reshape(2 * cfg.n_chains, -1).mean(axis=1)
     se = batch_means.std(ddof=1) / math.sqrt(len(batch_means))
     assert abs(x2.mean() - 1.0 / (4.0 ** N + a)) < 3 * se
+
+
+def _oracle_run_chains(cfg, model, proposal_std):
+    """`sampler._run_chains` as a per-step loop: one `model.log_weight` call
+    per step on that step's (B, n, n) proposals, the importance normals of
+    chain b drawn from its block stream after the block's proposals and
+    uniforms.  The block-weighed chain must reproduce it bit for bit."""
+    geom = model.geom
+    n, B, K = geom.n, cfg.n_chains, BLOCK_STEPS
+    gens = [stream(cfg.seed, c, tag="init") for c in range(B)]
+    X = np.stack([sample_pure_angles(geom, gen) for gen in gens])
+    logw = model.log_weight(X, gens)
+    total = cfg.burn_in + cfg.samples * cfg.thin
+    kept = np.empty((B, cfg.samples, n, n))
+    accepted = np.zeros(B)
+    stat = np.empty((B, total))
+    for step in range(total):
+        j = step % K
+        if j == 0:
+            gens = [stream(cfg.seed, c, step // K, tag="block") for c in range(B)]
+            proposals = proposal_std * np.stack([gen.standard_normal((K, n, n))
+                                                 for gen in gens], axis=1)
+            log_u = np.log(np.stack([gen.random(K) for gen in gens], axis=1))
+        Xp = proposals[j]
+        logw_p = model.log_weight(Xp, gens)
+        acc = log_u[j] < logw_p - logw
+        X = np.where(acc[:, None, None], Xp, X)
+        logw = np.where(acc, logw_p, logw)
+        accepted += acc
+        stat[:, step] = (X ** 2).sum(axis=(1, 2))
+        k = step - cfg.burn_in
+        if k >= 0 and k % cfg.thin == 0:
+            kept[:, k // cfg.thin] = X
+    return kept, accepted / total, stat[:, cfg.burn_in:]
+
+
+class _CountingModel:
+    """A weight model that counts its `log_weight` calls."""
+
+    def __init__(self, model):
+        self.model, self.geom, self.calls = model, model.geom, 0
+
+    def log_weight(self, X, gens):
+        self.calls += 1
+        return self.model.log_weight(X, gens)
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param((m, 2), id=m) for m in WEIGHT_METHODS),
+    pytest.param(("tilt", 2), id="gaussian-tilt"),
+    pytest.param(("monte-carlo", 3), id="monte-carlo-N3")])
+def test_block_chain_equals_per_step_oracle(model):
+    # three blocks, the last one partial: the same kept states, acceptance
+    # and statistic as the per-step loop, from one weight call per block
+    # plus one for the initial states
+    name, N = model
+    geom = build_lattice(N)
+    cfg = ChainConfig(samples=40, burn_in=70, thin=3, n_chains=3, seed=23, n_is=16)
+    scale = sampler_module.tune_proposal(cfg, _GaussianTiltModel(N, 0.0, 0.0))
+
+    def build():
+        if name == "tilt":
+            return _GaussianTiltModel(N, 4.0 ** N, 1.5)
+        return _WeightModel(geom, QUARTIC, name, cfg.n_is)
+
+    counting = _CountingModel(build())
+    got = sampler_module._run_chains(cfg, counting, scale)
+    want = _oracle_run_chains(cfg, build(), scale)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    total = cfg.burn_in + cfg.samples * cfg.thin
+    assert total % BLOCK_STEPS and counting.calls == 1 + -(-total // BLOCK_STEPS)
+
+
+CHAIN_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "chain_golden.json")
+GOLDEN_CHAINS = [("monte-carlo", 1), ("monte-carlo", 2), ("monte-carlo", 3),
+                 ("loop-expansion", 1), ("loop-expansion", 2), ("constant", 2)]
+
+
+def _chain_digest(method, N, n_chains):
+    """sha256 of a chain's kept states, acceptance and IAT: 190 steps, so
+    three blocks with a partial last one."""
+    cfg = ChainConfig(samples=40, burn_in=70, thin=3, n_chains=n_chains, seed=29)
+    res = sample_interacting(build_lattice(N), QUARTIC, cfg, method=method)
+    return {key: hashlib.sha256(data).hexdigest()
+            for key, data in (("X", res.X.tobytes()), ("acceptance", res.acceptance.tobytes()),
+                              ("iat", repr(res.iat).encode()))}
+
+
+@pytest.mark.parametrize("n_chains", [1, 3])
+@pytest.mark.parametrize("method, N", GOLDEN_CHAINS)
+def test_chain_bytes_match_golden(method, N, n_chains):
+    # frozen hashes, recorded before the chain weighed a block per call;
+    # never regenerated to get a pass
+    with open(CHAIN_GOLDEN) as f:
+        golden = json.load(f)
+    assert _chain_digest(method, N, n_chains) == golden[f"{method}/N{N}/chains{n_chains}"]
 
 
 def test_chain_determinism():
