@@ -615,7 +615,7 @@ def test_block_chain_equals_per_step_oracle(model):
     name, N = model
     geom = build_lattice(N)
     cfg = ChainConfig(samples=40, burn_in=70, thin=3, n_chains=3, seed=23, n_is=16)
-    scale = sampler_module.tune_proposal(cfg, _GaussianTiltModel(N, 0.0, 0.0))
+    scale = 2.0 ** -N  # the pure-gauge law's standard deviation
 
     def build():
         if name == "tilt":
