@@ -47,7 +47,6 @@ from .loop_expansion import (  # noqa: F401
     k_complex,
     k_real,
     loop_trace,
-    partial_expansion,
 )
 from .sampler import (  # noqa: F401
     ChainConfig,

@@ -19,7 +19,7 @@ import os
 import secrets
 import sys
 import typing
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -316,10 +316,20 @@ def _fits(value, kind, default) -> bool:
     return kind in _KIND_NAMES and isinstance(value, kind)
 
 
+def _want(kinds, default) -> str:
+    """What a value of one of `kinds` is, for a usage error."""
+    return " or ".join(
+        "a list of " + {int: "integers", float: "numbers"}[type(default[0])]
+        if kind is tuple else _KIND_NAMES.get(kind, f"a {kind.__name__}")
+        for kind in kinds)
+
+
 def _check_experiment_kwargs(experiment: str, kwargs: dict) -> None:
     """Refuse unknown, missing and mistyped experiment parameters before any
     work.  A value must fit the type of the parameter's default, or of its
-    annotation where the default is missing or None."""
+    annotation where the default is missing or None.  The keys of `chain_kw`
+    must be `ChainConfig` fields other than the two the experiment sets, and
+    their values must fit the field defaults."""
     params = inspect.signature(EXPERIMENTS[experiment], eval_str=True).parameters
     unknown = sorted(set(kwargs) - set(params))
     if unknown:
@@ -335,12 +345,18 @@ def _check_experiment_kwargs(experiment: str, kwargs: dict) -> None:
         else:
             kinds = (type(p.default),)
         if not any(_fits(value, kind, p.default) for kind in kinds):
-            want = " or ".join(
-                "a list of " + {int: "integers", float: "numbers"}[type(p.default[0])]
-                if kind is tuple else _KIND_NAMES.get(kind, f"a {kind.__name__}")
-                for kind in kinds)
             raise ConfigurationError(f"experiment {experiment!r}: parameter {key!r} = "
-                                     f"{value!r} is not {want}")
+                                     f"{value!r} is not {_want(kinds, p.default)}")
+    chain_fields = {f.name: f.default for f in fields(ChainConfig)
+                    if f.name not in ("samples", "seed")}
+    for key, value in (kwargs.get("chain_kw") or {}).items():
+        if key not in chain_fields:
+            raise ConfigurationError(f"experiment {experiment!r}: chain_kw takes no key "
+                                     f"{key!r}; it takes {list(chain_fields)}")
+        default = chain_fields[key]
+        if not _fits(value, type(default), default):
+            raise ConfigurationError(f"experiment {experiment!r}: chain_kw {key!r} = "
+                                     f"{value!r} is not {_want((type(default),), default)}")
 
 
 def cmd_verify(args):

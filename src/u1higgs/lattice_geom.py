@@ -268,14 +268,6 @@ class ThinRect:
             raise DomainError("thin rectangle side exceeds 1")
 
 
-def is_thin(r: Rect, n: int) -> bool:
-    try:
-        ThinRect(r, n)
-        return True
-    except DomainError:
-        return False
-
-
 def _largest_pow2_leq(x: int) -> int:
     return 1 << (x.bit_length() - 1)
 
@@ -368,10 +360,6 @@ class MaximalTree:
         tree = {('h', k1, k2) for k2 in range(n + 1) for k1 in range(n)}
         tree |= {('v', 0, k2) for k2 in range(n)}
         return tree
-
-    def contains(self, bond: Bond) -> bool:
-        kind, k1, k2 = bond
-        return kind == 'h' or (kind == 'v' and k1 == 0)
 
 
 def maximal_tree(geom: LatticeGeometry) -> MaximalTree:

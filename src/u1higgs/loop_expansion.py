@@ -11,9 +11,9 @@ Conventions:
   * inner products are conjugate-linear in the first slot, so a complex
     edge e: x->y with operator M contributes <phi_x, M phi_y> = phi_x^H M phi_y;
   * in the real case self-loop couplings enter the exponent with a factor
-    1/2 (the single-edge path class has symmetry factor 2, which is how the
+    1/2 (the single-edge loop class has symmetry factor 2, which is how the
     expansion side accounts for it);
-  * a loop or path class is an `EdgeClass`: its least step sequence up to
+  * a loop class is an `EdgeClass`: its least step sequence up to
     rotation (complex loops) or rotation and reversal (real loops).  A step
     is an edge id (complex) or an (edge id, +-1) pair (real, self-loops +1);
     `_signed` reads either as (edge, +-1).
@@ -171,28 +171,14 @@ class RadialMeasure:
         total, _ = integrate.quad(f, 0.0, np.inf, limit=200)
         if not np.isfinite(total) or total >= 1e280:
             raise NumericalError("density integral with growth term diverges")
-        self._radius[growth] = R = _tail_radius(f, total)
-        return R
-
-    def radius_for_moment(self, jmax: int) -> float:
-        """Radius R whose tail contribution to moment(jmax) is below RADIUS_TOL
-        (relative)."""
-        if self.kind != "density":
-            raise DomainError("radius_for_moment applies to density measures")
-        return _tail_radius(lambda s: self.density(s) * s ** (2 * jmax),
-                            self.moment(jmax))
-
-
-def _tail_radius(f, total: float) -> float:
-    """First R in 2 * 1.5^k whose tail integral of f is below RADIUS_TOL * total."""
-    from scipy import integrate
-    R = 2.0
-    for _ in range(60):
-        tail, _ = integrate.quad(f, R, np.inf, limit=200)
-        if tail <= RADIUS_TOL * max(total, 1e-300):
-            return R
-        R *= 1.5
-    raise NumericalError("could not find a truncation radius")
+        R = 2.0  # the first R in 2 * 1.5^k with a small enough tail
+        for _ in range(60):
+            tail, _ = integrate.quad(f, R, np.inf, limit=200)
+            if tail <= RADIUS_TOL * max(total, 1e-300):
+                self._radius[growth] = R
+                return R
+            R *= 1.5
+        raise NumericalError("could not find a truncation radius")
 
 
 def check_log_convex_moments(lam: RadialMeasure, jmax: int = 10, tol: float = 1e-9) -> bool:
@@ -286,18 +272,18 @@ class OperatorAssignment:
 
 
 # --------------------------------------------------------------------------
-# loop and path classes
+# loop classes
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EdgeClass:
-    """A loop or path class by its canonical step sequence: edge ids (C) or
+    """A loop class by its canonical step sequence: edge ids (C) or
     (edge id, +-1) pairs (R, self-loop signs +1), see `_signed`.  S is the
-    number of rotations (C loops), rotations and reversals (R loops) or
-    reversals (R paths) fixing the sequence; 1 for complex paths."""
+    number of rotations (C) or rotations and reversals (R) fixing the
+    sequence."""
 
     edges: tuple
-    S: int = 1
+    S: int
 
     @property
     def length(self) -> int:
@@ -314,19 +300,16 @@ def _real_orbit(graph: MultiGraph, seq):
         yield rev[r:] + rev[:r]
 
 
-def _move_table(G: MultiGraph, fieldtag: str, allowed=None) -> dict:
+def _move_table(G: MultiGraph, fieldtag: str) -> dict:
     """Vertex -> [(letter, next vertex)] by increasing letter.
 
     A letter is an int: the edge id for C, and 2 * edge + 1 (along the
     orientation) or 2 * edge (against it) for R, so that letters order like
     the (edge, sign) pairs they stand for.  Real self-loops are walked along
-    their orientation only (sign normalised to +1).  With `allowed`, only
-    edges with both ends in it are kept.
+    their orientation only (sign normalised to +1).
     """
     moves: dict = {}
     for e, (a, b) in enumerate(G.edges):
-        if allowed is not None and not (a in allowed and b in allowed):
-            continue
         if fieldtag == "C":
             moves.setdefault(a, []).append((e, b))
         else:
@@ -357,45 +340,43 @@ def _signed(step) -> tuple[int, int]:
 
 
 class _NodeBudget:
-    """Generator nodes left to a loop or path enumeration."""
+    """Generator nodes left to a loop enumeration."""
 
-    def __init__(self, nodes: int, what: str):
-        self.left, self.what = nodes, what
+    def __init__(self, nodes: int):
+        self.left = nodes
 
     def spend(self, found) -> None:
         """Take one node; `found` is what the enumeration has emitted."""
         if self.left <= 0:
-            raise ResourceError(f"{self.what} enumeration budget exhausted; "
+            raise ResourceError("loop enumeration budget exhausted; "
                                 f"partial count {len(found)}")
         self.left -= 1
 
 
 def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str,
-                           restrict_to=None, node_budget: int = DFS_NODE_BUDGET):
+                           node_budget: int = DFS_NODE_BUDGET):
     """One representative per loop equivalence class of length <= max_len.
 
-    Classes are returned sorted by (length, canonical sequence).  Vertices
-    may be restricted to a subset (loops must stay inside it).  The node
+    Classes are returned sorted by (length, canonical sequence).  The node
     budget counts the generator's nodes (the walk prefixes it extends).
     """
     if max_len > DEFAULT_MAX_LEN:
         raise ResourceError(f"max_len {max_len} exceeds the guard {DEFAULT_MAX_LEN}; "
                             "call with a smaller bound or use the internal "
                             "enumerator with an explicit node budget")
-    return _enumerate_raw(G, max_len, fieldtag, restrict_to, node_budget)
+    return _enumerate_raw(G, max_len, fieldtag, node_budget)
 
 
 def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str,
-                   restrict_to=None, node_budget: int = DFS_NODE_BUDGET):
+                   node_budget: int = DFS_NODE_BUDGET):
     """Canonical loop classes by the FKM prenecklace rule (see the module
     docstring): every walk prefix the generator extends is a prenecklace,
     so each class is emitted once, by its canonical sequence."""
     if max_len < 1:
         return []
-    moves = _move_table(G, fieldtag,
-                        set(G.vertices if restrict_to is None else restrict_to))
+    moves = _move_table(G, fieldtag)
     flip = _reversed_letters(G) if fieldtag == "R" else None
-    budget = _NodeBudget(node_budget, "loop")
+    budget = _NodeBudget(node_budget)
     found = []
     seq = []
 
@@ -428,50 +409,6 @@ def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str,
     return [EdgeClass(_decode(key, fieldtag), S) for key, S in found]
 
 
-def enumerate_path_classes(G: MultiGraph, max_len: int, fieldtag: str,
-                           inner, endpoints, node_budget: int = DFS_NODE_BUDGET):
-    """Path classes with endpoints in `endpoints`, intermediate vertices in
-    `inner`; a path of length > 1 cannot start or end with a self-loop.
-
-    Internal machinery for the partial expansion.  Walks the move table of
-    `_enumerate_raw` under the same generator-node budget.
-    """
-    inner = set(inner)
-    endpoints = set(endpoints)
-    moves = _move_table(G, fieldtag)
-    flip = _reversed_letters(G) if fieldtag == "R" else None
-    budget = _NodeBudget(node_budget, "path")
-    classes = {}
-    seq = []
-
-    def record():
-        key = tuple(seq)
-        S = 1
-        if flip is not None:
-            rev = tuple(flip[x] for x in reversed(seq))
-            key, S = min(key, rev), (2 if key == rev else 1)
-        classes.setdefault(key, S)
-
-    def dfs(cur):
-        budget.spend(classes)
-        if seq and cur not in inner:
-            return  # may only pass through expanded sites
-        for a, nxt in moves.get(cur, ()):
-            seq.append(a)
-            # length > 1 paths cannot end with a self-loop, and a path that
-            # starts with one is never extended
-            if nxt in endpoints and (len(seq) == 1 or nxt != cur):
-                record()
-            if len(seq) < max_len and not (len(seq) == 1 and nxt == cur):
-                dfs(nxt)
-            seq.pop()
-
-    for v in sorted(endpoints, key=repr):
-        dfs(v)
-    return [EdgeClass(_decode(key, fieldtag), S)
-            for key, S in sorted(classes.items(), key=lambda kv: (len(kv[0]), kv[0]))]
-
-
 def path_matrix(cls, M: OperatorAssignment) -> np.ndarray:
     """Ordered matrix product along the class's edges, transposed where a
     real edge is traversed against its orientation."""
@@ -494,12 +431,6 @@ def _incidence(G: MultiGraph, cls) -> dict:
         for v in G.edges[_signed(step)[0]]:
             inc[v] = inc.get(v, 0) + 1
     return inc
-
-
-def _path_endpoints(G: MultiGraph, cls):
-    """Where the class's first step starts and its last step ends."""
-    (e0, p0), (e1, p1) = _signed(cls.edges[0]), _signed(cls.edges[-1])
-    return G.edges[e0][p0 < 0], G.edges[e1][p1 > 0]
 
 
 # --------------------------------------------------------------------------
@@ -720,11 +651,11 @@ class QuadratureResult:
     error_estimate: float
 
 
-def _dimension_guard(sites, lam, fieldtag: str, d: int, what: str) -> None:
+def _dimension_guard(sites, lam, fieldtag: str, d: int) -> None:
     """Refuse a tensor quadrature over more than 6 real dimensions."""
     dims = sum(2 * d if fieldtag == "C" else d for v in sites if lam[v].kind != "dirac0")
     if dims > 6:
-        raise ResourceError(f"{what} dimension {dims} exceeds the guard 6")
+        raise ResourceError(f"total real dimension {dims} exceeds the guard 6")
 
 
 def _sphere_points(fieldtag: str, d: int, K: int):
@@ -757,8 +688,9 @@ def _sphere_points(fieldtag: str, d: int, K: int):
 
 
 def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
-               radius: Callable[[RadialMeasure], float]):
-    """Product nodes/weights of one site; a density's radial cutoff is radius(lam)."""
+               growth: float):
+    """Product nodes/weights of one site; a density's radial cutoff is
+    lam.radius_for(growth)."""
     if lam.kind == "dirac0":
         pts = np.zeros((1, d), dtype=complex if fieldtag == "C" else float)
         return pts, np.array([sphere_mass(fieldtag, d)])
@@ -766,7 +698,7 @@ def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
     if lam.kind == "discrete":
         radii, rw = np.array(lam.points, dtype=float).reshape(-1, 2).T
     else:
-        R = radius(lam)
+        R = lam.radius_for(growth)
         x, w = np.polynomial.legendre.leggauss(spec.radial_nodes)
         radii = 0.5 * R * (x + 1.0)
         rw = 0.5 * R * w * np.array([lam.density(s) for s in radii])
@@ -803,8 +735,7 @@ def _integrate_once(G: MultiGraph, M: OperatorAssignment, lam, spec: QuadratureS
     fieldtag, d = M.fieldtag, M.dim
     verts = list(G.vertices)
     growth = sum(float(np.linalg.norm(m, 2)) for m in M.mats)
-    grids = {v: _site_grid(lam[v], fieldtag, d, spec, lambda m: m.radius_for(growth))
-             for v in verts}
+    grids = {v: _site_grid(lam[v], fieldtag, d, spec, growth) for v in verts}
     shapes = [len(grids[v][1]) for v in verts]
     total = int(np.prod(shapes))
     if total > 40_000_000:
@@ -827,7 +758,7 @@ def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
     error estimate and a non-convergent refinement raises NumericalError.
     """
     lam = dict(lam)
-    _dimension_guard(G.vertices, lam, M.fieldtag, M.dim, "total real")
+    _dimension_guard(G.vertices, lam, M.fieldtag, M.dim)
     v1 = _integrate_once(G, M, lam, spec)
     v2 = _integrate_once(G, M, lam, replace(spec, radial_nodes=2 * spec.radial_nodes,
                                             angular_nodes=2 * spec.angular_nodes))
@@ -836,84 +767,6 @@ def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
         raise NumericalError(
             f"quadrature not converged: coarse={v1}, fine={v2}, err={err}")
     return QuadratureResult(v2, err)
-
-
-# --------------------------------------------------------------------------
-# partial (mid-induction) expansion
-# --------------------------------------------------------------------------
-
-def partial_expansion(G: MultiGraph, M: OperatorAssignment, lam, Vbar,
-                      max_total: int, spec: QuadratureSpec = QuadratureSpec()
-                      ) -> float | complex:
-    """Mid-induction identity: loops inside Vbar are expanded, the remaining
-    sites W = V - Vbar keep their integrals, evaluated by quadrature of the
-    product of path factors.
-
-    Vbar = all vertices reduces to expansion_value; Vbar = empty set is the
-    plain expansion of the exponential integrated by quadrature.
-    """
-    lam = dict(lam)
-    fieldtag, d = M.fieldtag, M.dim
-    if max_total < 0:
-        raise DomainError("max_total must be nonnegative")
-    Vbar = set(Vbar)
-    W = [v for v in G.vertices if v not in Vbar]
-    _dimension_guard(W, lam, fieldtag, d, "remaining-site")
-
-    loops = _enumerate_raw(G, max_total, fieldtag, restrict_to=Vbar)
-    paths = enumerate_path_classes(G, max_total, fieldtag, inner=Vbar, endpoints=W)
-    loop_vals = [loop_trace(c, M) / c.S for c in loops]
-
-    # path products are polynomial in phi of degree <= 2 max_total per site:
-    # enough angular nodes make the sphere quadrature exact, and the radial
-    # radius must capture moment(max_total)
-    exact = replace(spec, radial_nodes=max(spec.radial_nodes, max_total + 8),
-                    angular_nodes=max(spec.angular_nodes, 2 * max_total + 4))
-    grids = {v: _site_grid(lam[v], fieldtag, d, exact,
-                           lambda m: m.radius_for_moment(max(1, max_total))) for v in W}
-    wgrid = _grid_weights(grids, W)
-    # per path class: gamma(M, phi)/S as an array over the W grid
-    path_arrays = [_pair_term(grids, W, *_path_endpoints(G, c), path_matrix(c, M),
-                              fieldtag) / c.S for c in paths]
-
-    sites = list(Vbar)
-    coeffs = _site_coeffs(sites, lam, fieldtag, d, max_total)
-
-    # (length, is_loop, factor, class); loops first among equal lengths
-    items = sorted([(c.length, True, v, c) for c, v in zip(loops, loop_vals)]
-                   + [(c.length, False, f, c) for c, f in zip(paths, path_arrays)],
-                   key=lambda t: t[0])
-    picks, inc = _multiset_table([t[0] for t in items],
-                                 _class_sums([t[3] for t in items], _vertex_form(G, sites)),
-                                 max_total)
-
-    out = 0.0 + 0.0j if fieldtag == "C" else 0.0
-    prefix = [(1.0, None, 1)]  # prefix[j]: (scalar, integrand, factorials) of picks[:j]
-    depths = (picks[:, 0::2] >= 0).sum(axis=1).tolist()
-    for p, row, counts in zip(depths, picks.tolist(), inc.tolist()):
-        if p:
-            idx, mult = row[2 * p - 2], row[2 * p - 1]
-            # in the pre-order a row's parent (its first p - 1 picks) precedes
-            # it, and so does the row with multiplicity m - 1 at the same
-            # depth, with only deeper rows between: extend that by one factor
-            scalar, integrand, fact = prefix[p if mult > 1 else p - 1]
-            _, is_loop, f, _ = items[idx]
-            fact = fact * mult
-            if is_loop:
-                scalar = scalar * f
-            else:
-                integrand = f if integrand is None else integrand * f
-            del prefix[p:]
-            prefix.append((scalar, integrand, fact))
-        scalar, integrand, fact = prefix[p]
-        scalar = _site_factor(scalar, coeffs, counts)
-        if W:
-            scalar = scalar * (wgrid.sum() if integrand is None
-                               else (integrand * wgrid).sum())
-        out = out + scalar / fact
-    if fieldtag == "R":
-        out = float(np.real(out))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ reported separately, never silently folded into estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,13 +54,7 @@ class ExperimentResult:
             raise DomainError("informational results must not carry a reference")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name, "parameters": _plain(self.parameters),
-            "estimate": self.estimate, "stderr": self.stderr,
-            "reference": self.reference, "verdict": self.verdict,
-            "sample_size": self.sample_size, "seed": self.seed,
-            "extras": _plain(self.extras),
-        }
+        return _plain(asdict(self))
 
 
 def _plain(obj):

@@ -97,9 +97,6 @@ class OneForm:
         n = geom.n
         return cls(geom, np.zeros((n, n + 1)), np.zeros((n + 1, n)))
 
-    def scaled(self, c: float) -> "OneForm":
-        return OneForm(self.geom, c * self.h, c * self.v)
-
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.geom, self.h + other.h, self.v + other.v)
 

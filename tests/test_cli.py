@@ -339,7 +339,14 @@ def test_bad_verify_config_file_is_usage_error(content, tmp_path, capsys):
     ("mgf", ["--N", "2"], {"samples": "ten"}, "'samples' = 'ten' is not an integer"),
     ("flatness-moments", [], {"N_list": 3}, "'N_list' = 3 is not a list of integers"),
     ("mgf", [], None, "needs parameter 'N'"),
-], ids=["samples-string", "N_list-int", "mgf-without-N"])
+    ("mgf", ["--N", "2", "--mode", "interacting"], {"chain_kw": {"n_is": "x"}},
+     "chain_kw 'n_is' = 'x' is not an integer"),
+    ("mgf", ["--N", "2", "--mode", "interacting"], {"chain_kw": {"bogus": 1}},
+     "chain_kw takes no key 'bogus'"),
+    ("mgf", ["--N", "2", "--mode", "interacting"], {"chain_kw": {"samples": 5}},
+     "chain_kw takes no key 'samples'"),
+], ids=["samples-string", "N_list-int", "mgf-without-N", "chain_kw-n_is-string",
+        "chain_kw-unknown-key", "chain_kw-samples"])
 def test_verify_parameter_types_are_usage_errors(experiment, argv, config, message,
                                                  tmp_path, capsys):
     # each of these used to end in a TypeError traceback with exit 1

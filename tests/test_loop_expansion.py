@@ -26,7 +26,6 @@ from u1higgs.loop_expansion import (
     k_complex,
     k_real,
     loop_trace,
-    partial_expansion,
     sphere_mass,
 )
 from u1higgs.loop_expansion import (
@@ -36,10 +35,9 @@ from u1higgs.loop_expansion import (
     _incidence,
     _move_table,
     _multiset_table,
-    _path_endpoints,
     _real_orbit,
+    _signed,
     _vertex_form,
-    enumerate_path_classes,
 )
 from u1higgs.sampler import PotentialSpec
 from test_acceptance import _corpus_graphs
@@ -90,7 +88,7 @@ def test_radius_for_is_memoised_per_growth(monkeypatch):
     lam = RadialMeasure.gaussian_type()
     radii = [lam.radius_for(g) for g in (0.1, 0.3)]
     assert radii == [RadialMeasure.gaussian_type().radius_for(g) for g in (0.1, 0.3)]
-    monkeypatch.setattr(loop_expansion, "_tail_radius", None)  # no quadrature now
+    monkeypatch.setattr(lam, "density", None)  # no quadrature now
     assert [lam.radius_for(g) for g in (0.1, 0.3)] == radii
 
 
@@ -157,12 +155,14 @@ def test_canonicalization_orbit_stabilizer_real():
 
 
 def test_path_not_returned_as_loop():
-    # every loop class is closed: its last step ends where its first step
-    # starts (open paths come only from enumerate_path_classes)
+    # every loop class is closed: its last step ends where its first step starts
     G = MultiGraph(("x", "y"), (("x", "x"), ("x", "y"), ("y", "x"), ("x", "y")))
     for fieldtag in ("C", "R"):
         classes = enumerate_loop_classes(G, 4, fieldtag)
-        assert classes and all(a == b for a, b in (_path_endpoints(G, c) for c in classes))
+        assert classes
+        for c in classes:
+            (e0, p0), (e1, p1) = _signed(c.edges[0]), _signed(c.edges[-1])
+            assert G.edges[e0][p0 < 0] == G.edges[e1][p1 > 0]
 
 
 def test_enumeration_budget_guard():
@@ -173,24 +173,16 @@ def test_enumeration_budget_guard():
         enumerate_loop_classes(G, 12, "C", node_budget=100)
 
 
-def test_restricted_enumeration():
-    G = MultiGraph(("x", "y"), (("x", "x"), ("x", "y"), ("y", "x")))
-    classes = enumerate_loop_classes(G, 4, "C", restrict_to={"x"})
-    assert all(set(G.edges[e]) == {"x"} for c in classes for e in c.edges)
-
-
-def _canonicalising_classes(G, max_len, fieldtag, restrict_to=None):
+def _canonicalising_classes(G, max_len, fieldtag):
     """Oracle: the enumerator before the FKM generator.  Walks every closed
     walk from every start vertex, canonicalises it (least rotation; for R
     the least element of the rotation-and-reversal orbit), counts its
     stabiliser and drops duplicates."""
-    allowed = set(G.vertices if restrict_to is None else restrict_to)
-    out_by_vertex = {v: [] for v in allowed}
+    out_by_vertex = {v: [] for v in G.vertices}
     for e, (a, b) in enumerate(G.edges):
-        if a in allowed and b in allowed:
-            out_by_vertex[a].append((e, 1, b))
-            if fieldtag == "R" and a != b:
-                out_by_vertex[b].append((e, -1, a))
+        out_by_vertex[a].append((e, 1, b))
+        if fieldtag == "R" and a != b:
+            out_by_vertex[b].append((e, -1, a))
     classes = {}
 
     def dfs(start, cur, seq):
@@ -210,7 +202,7 @@ def _canonicalising_classes(G, max_len, fieldtag, restrict_to=None):
                 dfs(start, nxt, seq)
                 seq.pop()
 
-    for v in sorted(allowed, key=repr):
+    for v in sorted(G.vertices, key=repr):
         dfs(v, v, [])
     return sorted(classes.values(), key=lambda c: (c.length, c.edges))
 
@@ -219,8 +211,6 @@ def _canonicalising_classes(G, max_len, fieldtag, restrict_to=None):
 def test_generated_classes_match_canonicalising_oracle(fieldtag):
     for G in _corpus_graphs():
         assert _enumerate_raw(G, 8, fieldtag) == _canonicalising_classes(G, 8, fieldtag)
-        assert (_enumerate_raw(G, 6, fieldtag, restrict_to={"x"})
-                == _canonicalising_classes(G, 6, fieldtag, restrict_to={"x"}))
 
 
 def test_generated_classes_match_oracle_on_interior_bond_graph():
@@ -230,56 +220,10 @@ def test_generated_classes_match_oracle_on_interior_bond_graph():
     assert len(classes) == 1294
 
 
-def _path_classes_oracle(G, max_len, fieldtag, inner, endpoints):
-    """Oracle: the path enumerator before it shared the loop generator's
-    move table, with (edge, sign) steps and explicit reversal."""
-    moves = {}
-    for e, (a, b) in enumerate(G.edges):
-        moves.setdefault(a, []).append((e, 1, b))
-        if fieldtag == "R" and a != b:
-            moves.setdefault(b, []).append((e, -1, a))
-    classes = {}
-
-    def edge_of(step):
-        return step if fieldtag == "C" else step[0]
-
-    def dfs(cur, seq):
-        if seq and cur not in inner:
-            return
-        for (e, p, nxt) in moves.get(cur, ()):
-            seq.append(e if fieldtag == "C" else (e, p))
-            if nxt in endpoints and (len(seq) == 1 or not (
-                    G.is_self_loop(e) or G.is_self_loop(edge_of(seq[0])))):
-                key = tuple(seq)
-                if fieldtag == "C":
-                    classes.setdefault(key, EdgeClass(key, 1))
-                else:
-                    rev = tuple((f, 1 if G.is_self_loop(f) else -q) for (f, q) in reversed(key))
-                    classes.setdefault(min(key, rev), EdgeClass(min(key, rev),
-                                                                2 if key == rev else 1))
-            if len(seq) < max_len and not (len(seq) == 1 and G.is_self_loop(e)):
-                dfs(nxt, seq)
-            seq.pop()
-
-    for v in sorted(endpoints, key=repr):
-        dfs(v, [])
-    return sorted(classes.values(), key=lambda c: (c.length, c.edges))
-
-
-@pytest.mark.parametrize("fieldtag", ["C", "R"])
-def test_path_classes_match_oracle(fieldtag):
-    for G in _corpus_graphs():
-        for inner in (set(G.vertices), {"x"}, set()):
-            outer = set(G.vertices) - inner
-            assert (enumerate_path_classes(G, 6, fieldtag, inner, outer)
-                    == _path_classes_oracle(G, 6, fieldtag, inner, outer))
-
-
 @pytest.mark.parametrize("fieldtag", ["C", "R"])
 def test_class_sums_match_incidence_oracle(fieldtag):
     for G in _corpus_graphs():
-        classes = (_enumerate_raw(G, 5, fieldtag)
-                   + enumerate_path_classes(G, 5, fieldtag, {"x"}, set(G.vertices) - {"x"}))
+        classes = _enumerate_raw(G, 5, fieldtag)
         for sites in (list(G.vertices), ["x"], []):
             assert _class_sums(classes, _vertex_form(G, sites)).tolist() == [
                 [_incidence(G, c).get(v, 0) for v in sites] for c in classes]
@@ -545,7 +489,7 @@ def test_ledger_text_matches_per_entry_formatting(fieldtag):
 
 
 def test_multiset_budget_counts_rows(monkeypatch):
-    # more multisets than MULTISET_BUDGET raise, in each of the three sums
+    # more multisets than MULTISET_BUDGET raise, in each of the two sums
     G = _self_loop_graph()
     M = OperatorAssignment.scalars(G, [0.3], "C")
     lam = {"x": GAUSS}
@@ -555,7 +499,6 @@ def test_multiset_budget_counts_rows(monkeypatch):
     hclasses = _enumerate_raw(interior_bond_graph(geom), 4, "C")
     hrows = len(_preorder_multisets([c.length for c in hclasses], 4))
     for n, call in [(rows, lambda: expansion_value(G, M, lam, 6)),
-                    (rows, lambda: partial_expansion(G, M, lam, {"x"}, 6)),
                     (hrows, lambda: higgs_loop_coefficients(geom, quartic(), 4))]:
         monkeypatch.setattr(loop_expansion, "MULTISET_BUDGET", n)
         call()
@@ -597,47 +540,11 @@ def test_expansion_2x2_matrix_case():
     assert abs(res.value - bf.value) <= 1e-4 * abs(bf.value)
 
 
-# ---------------------------------------------------------------- partial
-
-def test_partial_expansion_endpoints():
-    G = MultiGraph(("x", "y"), (("x", "y"), ("y", "x")))
-    M = OperatorAssignment.scalars(G, [0.4, 0.5], "C")
-    lam = {"x": GAUSS, "y": GAUSS}
-    full = partial_expansion(G, M, lam, {"x", "y"}, 14)
-    none = partial_expansion(G, M, lam, set(), 14)
-    half = partial_expansion(G, M, lam, {"x"}, 14)
-    ev = expansion_value(G, M, lam, 14).value
-    assert full == pytest.approx(ev, rel=1e-12)
-    assert none == pytest.approx(ev, rel=1e-5)
-    assert half == pytest.approx(ev, rel=1e-5)
-
-
-def test_partial_expansion_real_three_way():
-    G = MultiGraph(("x", "y"), (("x", "x"), ("x", "y"), ("y", "y")))
-    M = OperatorAssignment.scalars(G, [0.1, 0.08, -0.09], "R")
-    lam = {"x": GAUSS, "y": GAUSS}
-    vals = [partial_expansion(G, M, lam, vb, 14) for vb in (set(), {"x"}, {"x", "y"})]
-    assert vals[0] == pytest.approx(vals[2], rel=1e-6)
-    assert vals[1] == pytest.approx(vals[2], rel=1e-6)
-
-
 def test_negative_max_total_refused():
     G = _self_loop_graph()
     M = OperatorAssignment.scalars(G, [0.3], "C")
     with pytest.raises(DomainError):
         expansion_value(G, M, {"x": GAUSS}, -1)
-    with pytest.raises(DomainError):
-        partial_expansion(G, M, {"x": GAUSS}, {"x"}, -1)
-    assert partial_expansion(G, M, {"x": GAUSS}, {"x"}, 0) == c_coeff(0, GAUSS, "C", 1)
-
-
-def test_partial_dimension_guard():
-    G = MultiGraph(("x", "y", "z", "w"),
-                   (("x", "y"), ("y", "z"), ("z", "w"), ("w", "x")))
-    M = OperatorAssignment.scalars(G, [0.1] * 4, "C")
-    lam = {v: GAUSS for v in "xyzw"}
-    with pytest.raises(ResourceError):
-        partial_expansion(G, M, lam, set(), 6)
 
 
 # ---------------------------------------------------------------- brute force
