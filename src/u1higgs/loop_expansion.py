@@ -35,6 +35,7 @@ coefficients, its winding vector) sum a per-edge form over its steps: one
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -707,14 +708,6 @@ def _site_grid(lam: RadialMeasure, fieldtag: str, d: int, spec: QuadratureSpec,
     return pts, wts
 
 
-def _grid_weights(grids, sites) -> np.ndarray:
-    """Product quadrature weight over `sites`, one axis per site in order."""
-    wgrid = np.ones(())
-    for v in sites:
-        wgrid = np.multiply.outer(wgrid, grids[v][1])
-    return wgrid
-
-
 def _pair_term(grids, sites, a, b, mat, fieldtag: str) -> np.ndarray:
     """<phi_a, mat phi_b> on the product grid of `sites`, with axes of size 1
     except at a and b (one axis when a == b)."""
@@ -732,21 +725,34 @@ def _pair_term(grids, sites, a, b, mat, fieldtag: str) -> np.ndarray:
 
 
 def _integrate_once(G: MultiGraph, M: OperatorAssignment, lam, spec: QuadratureSpec):
+    """One quadrature sum, self-loops folded into their site's weights and
+    the sites contracted one at a time; C over the common-phase quotient."""
     fieldtag, d = M.fieldtag, M.dim
     verts = list(G.vertices)
     growth = sum(float(np.linalg.norm(m, 2)) for m in M.mats)
     grids = {v: _site_grid(lam[v], fieldtag, d, spec, growth) for v in verts}
+    first = next((v for v in verts if lam[v].kind != "dirac0"), None)
+    if fieldtag == "C" and first is not None:
+        # its nodes run (radius, angle) or (radius, t, xi1, xi2): keep the
+        # last angle at 0 and weigh each kept node K times
+        K = spec.angular_nodes
+        grids[first] = (grids[first][0][::K], K * grids[first][1][::K])
     shapes = [len(grids[v][1]) for v in verts]
     total = int(np.prod(shapes))
     if total > 40_000_000:
         raise ResourceError(f"quadrature grid of {total} points too large")
-    exponent = np.zeros(shapes, dtype=complex if fieldtag == "C" else float)
+    diag = dict.fromkeys(verts, 0.0)
+    vals = np.zeros(shapes, dtype=complex if fieldtag == "C" else float)
     for e, (a, b) in enumerate(G.edges):
         term = _pair_term(grids, verts, a, b, M.mats[e], fieldtag)
-        exponent = exponent + (0.5 * term if fieldtag == "R" and a == b else term)
-    vals = np.exp(exponent) * _grid_weights(grids, verts)
-    out = vals.sum()
-    return complex(out) if fieldtag == "C" else float(out)
+        if a == b:
+            diag[a] = diag[a] + (0.5 * term if fieldtag == "R" else term).reshape(-1)
+        else:
+            vals += term
+    np.exp(vals, out=vals)
+    for v in reversed(verts):
+        vals = vals @ (np.exp(diag[v]) * grids[v][1])
+    return complex(vals) if fieldtag == "C" else float(vals)
 
 
 def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
@@ -756,6 +762,7 @@ def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
 
     Refinement doubles the node counts; the difference is the reported
     error estimate and a non-convergent refinement raises NumericalError.
+    A complex field is summed exactly over its common-phase quotient (README).
     """
     lam = dict(lam)
     _dimension_guard(G.vertices, lam, M.fieldtag, M.dim)
@@ -868,27 +875,14 @@ def _group_fsum(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     return np.array([math.fsum(v[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
-def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
-                            ) -> HiggsLoopCoefficients:
-    """Coefficients c_w >= 0 with D_trunc(g) = sum_w c_w Re hol_w(g).
-
-    Runs the complex scalar expansion on the interior bond graph with the
-    Higgs site measure at every interior node, truncated at total traversal
-    count `max_len`, and groups multiset contributions by the total winding
-    vector of their loops.  The potential-free weights prod 1/(m! S^m) are
-    summed per (winding, vertex incidence) and the site coefficients applied
-    once per group.  Keys are ordered by first occurrence in the pre-order
-    of `_multiset_table`.
-    """
-    if geom.interior_node_count == 0:
-        raise DomainError("lattice has no interior nodes")
-    if max_len > HIGGS_MAX_LEN:
-        raise ResourceError(f"max_len {max_len} exceeds the guard {HIGGS_MAX_LEN}")
+@functools.lru_cache(maxsize=16)
+def _higgs_groups(N: int, max_len: int):
+    """The potential-free part of `higgs_loop_coefficients`, read-only: the
+    multiset row count, each (winding, incidence) group's fsum of prod
+    1 / (m! S^m), halved incidences and winding id, and the winding keys."""
+    geom = LatticeGeometry(N)
     G = interior_bond_graph(geom)
-    lam = higgs_site_measure(pot)
     classes = _enumerate_raw(G, max_len, "C")
-    cj = np.array([c_coeff(j, lam, "C", 1) for j in range(max_len + 1)])
-
     # a class's winding and incidence: the sum of its steps' forms
     picks, feat = _multiset_table([c.length for c in classes],
                                   _class_sums(classes, _step_forms(G, geom)), max_len)
@@ -906,10 +900,34 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     group_of, group_row = _first_occurrence_ids(feat)
     groups = feat[group_row]
     n2 = geom.n * geom.n
-    terms = (_group_fsum(weight, group_of, len(group_row))
-             * cj[groups[:, n2:] // 2].prod(axis=1))
     winding_of, winding_row = _first_occurrence_ids(groups[:, :n2])
-    values = _group_fsum(terms, winding_of, len(winding_row))
-    coeffs = {tuple(w): float(c)
-              for w, c in zip(groups[winding_row, :n2].tolist(), values)}
-    return HiggsLoopCoefficients(coeffs)
+    tables = (_group_fsum(weight, group_of, len(group_row)), groups[:, n2:] // 2, winding_of)
+    for t in tables:
+        t.setflags(write=False)
+    return len(picks), *tables, tuple(map(tuple, groups[winding_row, :n2].tolist()))
+
+
+def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
+                            ) -> HiggsLoopCoefficients:
+    """Coefficients c_w >= 0 with D_trunc(g) = sum_w c_w Re hol_w(g).
+
+    Runs the complex scalar expansion on the interior bond graph with the
+    Higgs site measure at every interior node, truncated at total traversal
+    count `max_len`, and groups multiset contributions by the total winding
+    vector of their loops.  The potential-free weights prod 1/(m! S^m) are
+    summed per (winding, vertex incidence) once per (N, max_len) and process
+    (`_higgs_groups`, MULTISET_BUDGET still checked on every call), and the
+    site coefficients applied once per group.  Keys are ordered by first
+    occurrence in the pre-order of `_multiset_table`.
+    """
+    if geom.interior_node_count == 0:
+        raise DomainError("lattice has no interior nodes")
+    if max_len > HIGGS_MAX_LEN:
+        raise ResourceError(f"max_len {max_len} exceeds the guard {HIGGS_MAX_LEN}")
+    rows, gweight, half, winding_of, keys = _higgs_groups(geom.N, max_len)
+    if rows > MULTISET_BUDGET:
+        raise ResourceError("multiset enumeration budget exhausted")
+    lam = higgs_site_measure(pot)
+    cj = np.array([c_coeff(j, lam, "C", 1) for j in range(max_len + 1)])
+    values = _group_fsum(gweight * cj[half].prod(axis=1), winding_of, len(keys))
+    return HiggsLoopCoefficients({w: float(c) for w, c in zip(keys, values)})

@@ -276,8 +276,8 @@ class _WeightModel:
 
     def estimate(self, g: GaugeField, rng: np.random.Generator | None = None
                  ) -> WeightEstimate:
-        """D(g) with its error.  Only this builds the coarse loop coefficients
-        of the error proxy: a chain's model does not need them."""
+        """D(g) with its error.  The loop error proxy's coarse coefficients
+        are built on the potential-free groups cached by `_higgs_groups`."""
         if self.method == "constant":
             raise DomainError("the constant weight is a chain debug mode, not an estimator")
         if self.method == "loop-expansion":

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +36,10 @@ from u1higgs.loop_expansion import (
     _incidence,
     _move_table,
     _multiset_table,
+    _pair_term,
     _real_orbit,
     _signed,
+    _site_grid,
     _vertex_form,
 )
 from u1higgs.sampler import PotentialSpec
@@ -575,6 +578,89 @@ def test_brute_force_discrete_measure():
     assert bf.value == pytest.approx(2 * math.pi * math.exp(0.4), rel=1e-10)
 
 
+def _grid_weights(grids, sites) -> np.ndarray:
+    """Product quadrature weight over `sites`, one axis per site in order."""
+    wgrid = np.ones(())
+    for v in sites:
+        wgrid = np.multiply.outer(wgrid, grids[v][1])
+    return wgrid
+
+
+def _full_grid_integral(G, M, lam, spec):
+    """Oracle: the quadrature sum on the whole product grid, the exponent
+    and the weights built in full, multiplied and summed (no contraction,
+    no common-phase quotient)."""
+    fieldtag, d = M.fieldtag, M.dim
+    verts = list(G.vertices)
+    growth = sum(float(np.linalg.norm(m, 2)) for m in M.mats)
+    grids = {v: _site_grid(lam[v], fieldtag, d, spec, growth) for v in verts}
+    shapes = [len(grids[v][1]) for v in verts]
+    exponent = np.zeros(shapes, dtype=complex if fieldtag == "C" else float)
+    for e, (a, b) in enumerate(G.edges):
+        term = _pair_term(grids, verts, a, b, M.mats[e], fieldtag)
+        exponent = exponent + (0.5 * term if fieldtag == "R" and a == b else term)
+    vals = np.exp(exponent) * _grid_weights(grids, verts)
+    out = vals.sum()
+    return complex(out) if fieldtag == "C" else float(out)
+
+
+def _oracle_cases():
+    """(id, graph, operators, measures, spec): self-loops, parallel edges,
+    dirac0 and discrete sites, the Hopf grid, and real fields."""
+    rng = np.random.default_rng(33)
+    small = QuadratureSpec(radial_nodes=16, angular_nodes=8)
+    one = _self_loop_graph()
+    two = MultiGraph(("x", "y"), (("x", "y"), ("y", "x"), ("x", "y"), ("x", "x"), ("y", "y")))
+    three = MultiGraph(("x", "y", "z"), (("x", "y"), ("y", "z"), ("z", "x"), ("x", "y"),
+                                         ("y", "y"), ("z", "z")))
+    atoms = RadialMeasure.discrete([(0.8, 0.5), (1.3, 0.25)])
+    dirac = RadialMeasure.dirac0()
+    c2 = [0.05, 0.04, 0.03 + 0.01j, 0.1, -0.05j]
+    c3 = [0.04, 0.03j, 0.05, -0.02, 0.06, 0.03]
+
+    def mats(G, fieldtag, d, scale):
+        out = []
+        for a, b in G.edges:
+            A = scale * rng.normal(size=(d, d))
+            if fieldtag == "C":
+                A = A + 1j * scale * rng.normal(size=(d, d))
+            out.append(A + A.T if fieldtag == "R" and a == b else A)
+        return OperatorAssignment(fieldtag, d, tuple(out), G)
+
+    return [
+        ("C1-one", one, OperatorAssignment.scalars(one, [0.3], "C"), {"x": GAUSS},
+         QuadratureSpec()),
+        ("C1-two", two, OperatorAssignment.scalars(two, c2, "C"), {"x": GAUSS, "y": GAUSS},
+         small),
+        ("C1-three", three, OperatorAssignment.scalars(three, c3, "C"),
+         {"x": GAUSS, "y": atoms, "z": RadialMeasure.discrete([(1.0, 1.0)])}, small),
+        ("C1-dirac0", two, OperatorAssignment.scalars(two, c2, "C"), {"x": dirac, "y": GAUSS},
+         small),
+        ("C1-discrete", one, OperatorAssignment.scalars(one, [0.4], "C"), {"x": atoms},
+         QuadratureSpec()),
+        ("C2-one", one, mats(one, "C", 2, 0.15), {"x": GAUSS},
+         QuadratureSpec(radial_nodes=40, angular_nodes=24)),
+        ("C2-two", two, mats(two, "C", 2, 0.05), {"x": dirac, "y": GAUSS},
+         QuadratureSpec(radial_nodes=24, angular_nodes=16)),
+        ("R1-two", two, OperatorAssignment.scalars(two, [0.05, 0.04, 0.03, 0.1, 0.07], "R"),
+         {"x": GAUSS, "y": atoms}, QuadratureSpec()),
+        ("R2-two", two, mats(two, "R", 2, 0.03), {"x": GAUSS, "y": GAUSS}, small),
+    ]
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_brute_force_matches_full_grid_oracle(case):
+    # the contracted sum over the common-phase quotient equals the full
+    # product-grid sum to rounding, in the value and in the refinement error
+    _, G, M, lam, spec = case
+    got = brute_force_integral(G, M, lam, spec)
+    v1 = _full_grid_integral(G, M, lam, spec)
+    v2 = _full_grid_integral(G, M, lam, replace(spec, radial_nodes=2 * spec.radial_nodes,
+                                                angular_nodes=2 * spec.angular_nodes))
+    assert abs(got.value - v2) <= 1e-13 * abs(v2)
+    assert abs(got.error_estimate - abs(v2 - v1)) <= 1e-13 * abs(v2)
+
+
 # ---------------------------------------------------------------- higgs weight
 
 def quartic(c=1.0):
@@ -686,3 +772,44 @@ def test_higgs_coefficients_match_per_multiset_oracle(N, pot):
         want = _per_multiset_coefficients(geom, pot, max_len)
         assert list(got) == list(want)  # weight_matrix rows follow this order
         assert all(abs(got[k] - want[k]) <= 1e-14 * abs(want[k]) for k in want)
+
+
+def test_higgs_groups_cache_cold_equals_warm():
+    # the potential-free groups are cached per (N, max_len): a build on a
+    # warm cache, filled under another potential, gives the same keys in
+    # the same order and the same floats as a cold build
+    pots = [PotentialSpec("quartic", c=c) for c in (0.9, 1.0, 4.0)]
+    pots.append(lambda x: 0.5 * x ** 6 + x ** 4 - 1.3 * x * x)
+    for N in (1, 2):
+        geom = build_lattice(N)
+        for max_len in (2, 4, 6, 8):
+            cold = []
+            for pot in pots:
+                loop_expansion._higgs_groups.cache_clear()
+                cold.append(list(higgs_loop_coefficients(geom, pot, max_len).coeffs.items()))
+            hits = loop_expansion._higgs_groups.cache_info().hits
+            warm = [list(higgs_loop_coefficients(geom, pot, max_len).coeffs.items())
+                    for pot in pots]
+            assert loop_expansion._higgs_groups.cache_info().hits == hits + len(pots)
+            assert warm == cold
+
+
+def test_higgs_groups_are_read_only():
+    rows, *tables, keys = loop_expansion._higgs_groups(2, 4)
+    assert isinstance(keys, tuple) and all(isinstance(k, tuple) for k in keys)
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[...] = 0
+
+
+def test_multiset_budget_binds_on_cold_and_warm_groups(monkeypatch):
+    geom = build_lattice(2)
+    loop_expansion._higgs_groups.cache_clear()
+    monkeypatch.setattr(loop_expansion, "MULTISET_BUDGET", 10)
+    with pytest.raises(ResourceError, match="multiset enumeration budget exhausted"):
+        higgs_loop_coefficients(geom, quartic(), 4)  # cold: while the table is built
+    monkeypatch.undo()
+    higgs_loop_coefficients(geom, quartic(), 4)
+    monkeypatch.setattr(loop_expansion, "MULTISET_BUDGET", 10)
+    with pytest.raises(ResourceError, match="multiset enumeration budget exhausted"):
+        higgs_loop_coefficients(geom, quartic(), 4)  # warm: against the cached row count
