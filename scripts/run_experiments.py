@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Batch driver: run every verification experiment at desk-scale defaults
-and write a combined JSON report plus the CSV ledger via the CLI."""
+and write their combined JSON report (one record per experiment) to --out."""
 
 import argparse
 import json
