@@ -733,8 +733,7 @@ def _integrate_once(G: MultiGraph, M: OperatorAssignment, lam, spec: QuadratureS
     grids = {v: _site_grid(lam[v], fieldtag, d, spec, growth) for v in verts}
     first = next((v for v in verts if lam[v].kind != "dirac0"), None)
     if fieldtag == "C" and first is not None:
-        # its nodes run (radius, angle) or (radius, t, xi1, xi2): keep the
-        # last angle at 0 and weigh each kept node K times
+        # nodes run (radius, angle) or (radius, t, xi1, xi2): keep last angle 0, weight x K
         K = spec.angular_nodes
         grids[first] = (grids[first][0][::K], K * grids[first][1][::K])
     shapes = [len(grids[v][1]) for v in verts]
@@ -766,9 +765,10 @@ def brute_force_integral(G: MultiGraph, M: OperatorAssignment, lam,
     """
     lam = dict(lam)
     _dimension_guard(G.vertices, lam, M.fieldtag, M.dim)
-    v1 = _integrate_once(G, M, lam, spec)
+    # refined pass first, so the grid guard (on quotient points) refuses before any sum
     v2 = _integrate_once(G, M, lam, replace(spec, radial_nodes=2 * spec.radial_nodes,
                                             angular_nodes=2 * spec.angular_nodes))
+    v1 = _integrate_once(G, M, lam, spec)
     err = abs(v2 - v1)
     if err > max(QUADRATURE_ATOL, QUADRATURE_RTOL * abs(v2)):
         raise NumericalError(
@@ -915,10 +915,10 @@ def higgs_loop_coefficients(geom: LatticeGeometry, pot, max_len: int
     Higgs site measure at every interior node, truncated at total traversal
     count `max_len`, and groups multiset contributions by the total winding
     vector of their loops.  The potential-free weights prod 1/(m! S^m) are
-    summed per (winding, vertex incidence) once per (N, max_len) and process
-    (`_higgs_groups`, MULTISET_BUDGET still checked on every call), and the
-    site coefficients applied once per group.  Keys are ordered by first
-    occurrence in the pre-order of `_multiset_table`.
+    summed per (winding, vertex incidence) by `_higgs_groups`, which a later
+    call with the same (N, max_len) in the process reuses (MULTISET_BUDGET is
+    still checked), and the site coefficients applied once per group.  Keys
+    are ordered by first occurrence in the pre-order of `_multiset_table`.
     """
     if geom.interior_node_count == 0:
         raise DomainError("lattice has no interior nodes")

@@ -569,6 +569,17 @@ def test_brute_force_dimension_guard():
         brute_force_integral(G, M, lam)
 
 
+def test_brute_force_grid_guard_refuses_before_any_sum(monkeypatch):
+    # three complex d=1 sites pass the dimension guard at the default spec;
+    # the refined pass's quotient grid (64 * 4096^2 points) is over the grid
+    # guard, so the call is refused before either pass forms a pair term
+    G = MultiGraph(("x", "y", "z"), (("x", "y"),))
+    M = OperatorAssignment.scalars(G, [0.1], "C")
+    monkeypatch.setattr(loop_expansion, "_pair_term", None)
+    with pytest.raises(ResourceError, match="quadrature grid of 1073741824 points too large"):
+        brute_force_integral(G, M, {v: GAUSS for v in "xyz"})
+
+
 def test_brute_force_discrete_measure():
     # atoms at s = 1 with mass 1: integral of e^{m s^2} over U(1) = 2 pi e^m
     G = _self_loop_graph()
