@@ -118,15 +118,18 @@ def cmd_lattice(args):
 # ---------------------------------------------------------------- sample
 
 def _write_chain_csv(path, X):
-    """CSV: step, flattened plaquette angles, derived statistic."""
+    """CSV: step, flattened plaquette angles, derived statistic; each row is
+    one `%` format, whose %.17g writes a float as `fmt` does.  The sums of
+    squares are one reduction over each sample's two axes, which adds in the
+    order of a per-sample `(x ** 2).sum()` (tests/test_cli.py)."""
+    n_plaq = X.shape[1] * X.shape[2]
+    flat = X.transpose(0, 2, 1).reshape(len(X), n_plaq).tolist()  # geometry row-major order
+    sum_sq = (X ** 2).sum(axis=(1, 2)).tolist()
+    row = "%d" + ",%.17g" * (n_plaq + 1) + "\n"
     with open(path, "w", newline="\n") as f:
-        n_plaq = X.shape[1] * X.shape[2]
         header = ["step"] + [f"X{i}" for i in range(n_plaq)] + ["sum_sq"]
         f.write(",".join(header) + "\n")
-        for i, x in enumerate(X):
-            flat = x.T.reshape(-1)  # geometry row-major order
-            row = [str(i)] + [fmt(v) for v in flat] + [fmt((x ** 2).sum())]
-            f.write(",".join(row) + "\n")
+        f.writelines(row % (i, *v, s) for i, (v, s) in enumerate(zip(flat, sum_sq)))
 
 
 def cmd_sample(args):
@@ -273,9 +276,8 @@ def cmd_loopexp(args):
     path = os.path.join(out, "ledger.csv")
     with open(path, "w", newline="\n") as f:
         f.write("multiset,total_length,contribution_re,contribution_im\n")
-        for (sig, tl, contrib) in res.ledger:
-            c = complex(contrib)
-            f.write(f"\"{sig}\",{tl},{fmt(c.real)},{fmt(c.imag)}\n")
+        f.writelines("\"%s\",%d,%.17g,%.17g\n" % (sig, tl, c.real, c.imag)
+                     for sig, tl, c in res.ledger)
     _write_manifest(out, "loopexp",
                     {"graph": args.graph, "max_total": args.max_total}, None,
                     ["ledger.csv"])

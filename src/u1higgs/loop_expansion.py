@@ -414,9 +414,15 @@ def path_matrix(cls, M: OperatorAssignment) -> np.ndarray:
     """Ordered matrix product along the class's edges, transposed where a
     real edge is traversed against its orientation."""
     prod = np.eye(M.dim, dtype=complex if M.fieldtag == "C" else float)
-    for e, p in map(_signed, cls.edges):
-        prod = prod @ (M.mats[e] if p == 1 else M.mats[e].T)
+    for step in cls.edges:
+        prod = prod @ _step_matrix(step, M)
     return prod
+
+
+def _step_matrix(step, M: OperatorAssignment) -> np.ndarray:
+    """A class step's matrix: M_e along the edge, its transpose against it."""
+    e, p = _signed(step)
+    return M.mats[e] if p == 1 else M.mats[e].T
 
 
 def loop_trace(cls, M: OperatorAssignment):
@@ -523,14 +529,24 @@ def _multiset_table(lengths, feats: np.ndarray, max_total: int):
     return picks[order], np.vstack([f for _, f in levels])[order]
 
 
-def _site_factor(term, coeffs, counts):
-    """term times C_{k/2} of each site, in order, with incidence count k;
-    `coeffs` holds each site's list of C_j."""
-    for c, k in zip(coeffs, counts):
-        if k % 2:
-            raise AssertionError("odd incidence count at an expanded site")
-        term = term * c[k // 2]
-    return term
+def _class_traces(classes, M: OperatorAssignment) -> list:
+    """`loop_trace` of each class, with the left-associated prefix products
+    of `path_matrix` computed once and shared between classes that start
+    with the same steps; each product is the same `prod @ step` call, so
+    every trace has the same bits as `loop_trace`'s."""
+    prods = {(): np.eye(M.dim, dtype=complex if M.fieldtag == "C" else float)}
+    traces = []
+    for c in classes:
+        seq = c.edges
+        t = len(seq)
+        while seq[:t] not in prods:
+            t -= 1
+        prod = prods[seq[:t]]
+        for k in range(t, len(seq)):
+            prod = prods[seq[:k + 1]] = prod @ _step_matrix(seq[k], M)
+        tr = np.trace(prod)
+        traces.append(complex(tr) if M.fieldtag == "C" else float(tr))
+    return traces
 
 
 def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
@@ -543,6 +559,24 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     pre-order of `_multiset_table`; `value` is their sum in that order.  The
     tail majorant bounds the dropped terms via norm bounds on the operators
     and a geometric series (infinite when no geometric bound applies).
+
+    The ledger is built in arrays, one row per multiset: each row's product
+    of site coefficients C_{k/2} (sites in order), then, one pick column at
+    a time in pick order, term = term * v**m / m! with v the class's trace
+    over its symmetry factor.  Each contribution has the bits that forming
+    that one term in CPython float and complex arithmetic gives (the
+    reference loop in tests/test_loop_expansion.py):
+      * the powers v**m are Python's own `**`, one per (class, m);
+      * a complex term is a pair of float arrays (re, im), and a float term
+        enters as (t, 0.0), as CPython converts it.  The product with
+        (c, d) is re = a c - b d, im = a d + b c, as CPython's complex
+        product; the division by m!, which CPython performs as a division
+        by (m!, 0.0), is re = (re + im * 0.0) / m!, im = (im - re * 0.0) /
+        m!.  Each step is one float64 operation, so no rounding differs;
+      * `value` is the left-to-right sum from 0.0 (`np.add.accumulate`,
+        not the pairwise `np.sum`).
+    The empty multiset's contribution, and every contribution of a real
+    field, is a float; the others of a complex field are complex.
     """
     lam = dict(lam)
     fieldtag, d = M.fieldtag, M.dim
@@ -551,31 +585,53 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     if max_total > 40:
         raise ResourceError("max_total too large for class enumeration")
     classes = _enumerate_raw(G, max_total, fieldtag)
-    values = [loop_trace(c, M) / c.S for c in classes]
+    values = [tr / c.S for tr, c in zip(_class_traces(classes, M), classes)]
     lengths = [c.length for c in classes]
     # vertex incidences never exceed 2 * max_total
     coeffs = _site_coeffs(G.vertices, lam, fieldtag, d, max_total)
     picks, inc = _multiset_table(lengths, _class_sums(classes, _vertex_form(G, G.vertices)),
                                  max_total)
+    if (inc % 2).any():
+        raise AssertionError("odd incidence count at an expanded site")
 
-    edge_text = [str(list(c.edges)) for c in classes]
-    ledger = []
-    value = 0.0 + 0.0j if fieldtag == "C" else 0.0
-    for row, counts in zip(picks.tolist(), inc.tolist()):
-        term = _site_factor(1.0, coeffs, counts)
-        sig, tl = [], 0
-        for k in range(0, len(row), 2):
-            ci, mult = row[k], row[k + 1]
-            if ci < 0:
-                break
-            term = term * values[ci] ** mult / math.factorial(mult)
-            sig.append(f"{mult}x{edge_text[ci]}")
-            tl += lengths[ci] * mult
-        ledger.append(("|".join(sig) or "empty", tl, term))
-        value = value + term
+    # the pair (class ci, multiplicity m) is entry first[ci] + m of the
+    # tables of powers and of signature texts
+    top = [max_total // n for n in lengths]
+    first = np.cumsum([-1] + top[:-1], dtype=np.int64)
+    powers = np.array([v ** m for v, n in zip(values, top) for m in range(1, n + 1)],
+                      dtype=complex if fieldtag == "C" else float)
+    texts = np.array([f"{m}x{list(c.edges)}" for c, n in zip(classes, top)
+                      for m in range(1, n + 1)], dtype=object)
+    joined = "|" + texts  # each text after the separator of a later pick
+    fact = np.array([float(math.factorial(m)) for m in range(max_total + 1)])
+    item, mult = picks[:, 0::2], picks[:, 1::2]
+    total = (np.array(lengths + [0], dtype=np.int64)[item] * mult).sum(axis=1)
 
-    if fieldtag == "R":
-        value = float(np.real(value))
+    re, im = np.ones(len(picks)), np.zeros(len(picks))
+    sig = np.full(len(picks), "empty", dtype=object)
+    rows = np.arange(len(picks))
+    with np.errstate(all="ignore"):  # as CPython's float arithmetic, never warn
+        for c, k in zip(coeffs, inc.T):
+            re = re * np.array(c)[k // 2]
+        for col in range(item.shape[1]):
+            rows = rows[item[rows, col] >= 0]  # the rows with a pick in this column
+            pair = first[item[rows, col]] + mult[rows, col]
+            p, f = powers[pair], fact[mult[rows, col]]
+            if fieldtag == "C":
+                a, b = re[rows], im[rows]
+                x = a * p.real - b * p.imag
+                y = a * p.imag + b * p.real
+                re[rows] = (x + y * 0.0) / f
+                im[rows] = (y - x * 0.0) / f
+            else:
+                re[rows] = re[rows] * p / f
+            sig[rows] = texts[pair] if col == 0 else sig[rows] + joined[pair]
+    value = float(np.add.accumulate(np.r_[0.0, re])[-1])
+    terms = re.tolist()
+    if fieldtag == "C":
+        value = complex(value, float(np.add.accumulate(np.r_[0.0, im])[-1]))
+        terms[1:] = map(complex, terms[1:], im[1:].tolist())
+    ledger = list(zip(sig.tolist(), total.tolist(), terms))
     tail = _tail_majorant(G, M, lam, max_total)
     return ExpansionResult(value, ledger, tail)
 

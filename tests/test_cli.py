@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from u1higgs import mc_verify, sampler
-from u1higgs.cli import run
+from u1higgs import cli, mc_verify, sampler
+from u1higgs.cli import fmt, run
 from u1higgs.gauge_core import GaugeField, load_gauge_field
 from u1higgs.lattice_geom import DomainError, build_lattice
+from test_cli_golden import GRAPH
+from test_loop_expansion import GAUSS, _graph_of, _per_multiset_expansion
 from test_sampler import _GaussianTiltModel
 
 
@@ -49,6 +51,24 @@ def test_sample_field_round_trip(tmp_path):
     np.testing.assert_array_equal(g.theta_h, g2.theta_h)
     manifest = json.loads(read(os.path.join(out, "manifest.json")))
     assert manifest["seed"] == 1
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_chain_csv_matches_per_value_writer(tmp_path, N):
+    # one `%` format per row, and the batched sums of squares, against
+    # formatting each value and summing each sample on its own
+    X = sampler.sample_pure_angles(build_lattice(N), np.random.default_rng(N), count=200)
+    X[1] *= 1e-9
+    X[2] *= 1e9
+    X[3, 0, 0] = -0.0
+    path = tmp_path / "samples.csv"
+    cli._write_chain_csv(path, X)
+    n_plaq = X.shape[1] * X.shape[2]
+    lines = [",".join(["step"] + [f"X{i}" for i in range(n_plaq)] + ["sum_sq"]) + "\n"]
+    for i, x in enumerate(X):
+        row = [str(i)] + [fmt(v) for v in x.T.reshape(-1)] + [fmt((x ** 2).sum())]
+        lines.append(",".join(row) + "\n")
+    assert read(path) == "".join(lines).encode()
 
 
 def test_sample_interacting_manifest(tmp_path):
@@ -180,6 +200,22 @@ def test_loopexp_cli(tmp_path):
     assert ledger[0] == "multiset,total_length,contribution_re,contribution_im"
     total = sum(float(line.split(",")[-2]) for line in ledger[1:])
     assert total == pytest.approx(2 * np.pi / 0.7, rel=1e-3)
+
+
+def test_loopexp_ledger_matches_per_entry_writer(tmp_path):
+    # past the golden's max-total 6, on its graph (a complex matrix edge and
+    # a self-loop): ledger.csv is the reference ledger, written one entry at
+    # a time as the per-entry f-string writer did
+    code, path = _loopexp(tmp_path, GRAPH, max_total="10")
+    assert code == 0
+    G, M = _graph_of(GRAPH)
+    _, ledger = _per_multiset_expansion(G, M, {v: GAUSS for v in G.vertices}, 10)
+    lines = ["multiset,total_length,contribution_re,contribution_im\n"]
+    for sig, tl, contrib in ledger:
+        c = complex(contrib)
+        lines.append(f"\"{sig}\",{tl},{fmt(c.real)},{fmt(c.imag)}\n")
+    assert len(lines) > 700
+    assert read(path) == "".join(lines).encode()
 
 
 def _real_graph(entry):

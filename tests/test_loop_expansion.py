@@ -510,6 +510,108 @@ def test_multiset_budget_counts_rows(monkeypatch):
             call()
 
 
+def _per_multiset_expansion(G, M, lam, max_total):
+    """Reference for `expansion_value`'s value and ledger: one Python loop
+    over the multisets in pre-order, each term formed in CPython float and
+    complex arithmetic."""
+    fieldtag = M.fieldtag
+    classes = _enumerate_raw(G, max_total, fieldtag)
+    values = [loop_trace(c, M) / c.S for c in classes]
+    lengths = [c.length for c in classes]
+    coeffs = [[c_coeff(j, lam[v], fieldtag, M.dim) for j in range(max_total + 1)]
+              for v in G.vertices]
+    picks, inc = _multiset_table(lengths, _class_sums(classes, _vertex_form(G, G.vertices)),
+                                 max_total)
+    edge_text = [str(list(c.edges)) for c in classes]
+    ledger = []
+    value = 0.0 + 0.0j if fieldtag == "C" else 0.0
+    for row, counts in zip(picks.tolist(), inc.tolist()):
+        term = 1.0
+        for c, k in zip(coeffs, counts):
+            if k % 2:
+                raise AssertionError("odd incidence count at an expanded site")
+            term = term * c[k // 2]
+        sig, tl = [], 0
+        for k in range(0, len(row), 2):
+            ci, mult = row[k], row[k + 1]
+            if ci < 0:
+                break
+            term = term * values[ci] ** mult / math.factorial(mult)
+            sig.append(f"{mult}x{edge_text[ci]}")
+            tl += lengths[ci] * mult
+        ledger.append(("|".join(sig) or "empty", tl, term))
+        value = value + term
+    if fieldtag == "R":
+        value = float(np.real(value))
+    return value, ledger
+
+
+def _graph_of(desc):
+    """MultiGraph and operators of a `loopexp` graph file's scalar entries
+    (a [re, im] pair or a 1 x 1 matrix of one)."""
+    G = MultiGraph(tuple(desc["vertices"]), tuple((e["from"], e["to"]) for e in desc["edges"]))
+    values = [complex(*e["matrix"][0][0]) if "matrix" in e else e["value"]
+              for e in desc["edges"]]
+    return G, OperatorAssignment.scalars(G, values, desc.get("field", "C"))
+
+
+def _bit_cases():
+    """(name, G, M, lam, max_totals) for the array-built ledger: both fields,
+    dim 1 and 2 (real symmetric self-loops), three measure kinds."""
+    from test_cli_golden import GRAPH
+    rng = np.random.default_rng(11)
+    disc = RadialMeasure.discrete([(0.5, 0.3), (1.2, 0.7)])
+    dirac = RadialMeasure.dirac0()
+    xy = ("x", "y")
+    golden, golden_ops = _graph_of(GRAPH)
+    G3 = MultiGraph(xy, (("x", "x"), ("x", "y"), ("y", "x")))
+    Gr = MultiGraph(xy, (("x", "x"), ("y", "y"), ("x", "y")))
+    Gz = MultiGraph(("x", "y", "z"), (("x", "y"), ("y", "z"), ("z", "x"), ("y", "y")))
+
+    def sym(a):
+        return a + a.T
+
+    cases = [
+        ("golden-C", golden, golden_ops, {"x": GAUSS, "y": GAUSS}, [10]),
+        ("C-d1", G3, OperatorAssignment.scalars(G3, [0.2 - 0.1j, -0.15 + 0.05j, 0.3j], "C"),
+         {"x": GAUSS, "y": disc}, range(11)),
+        ("R-d1", Gr, OperatorAssignment.scalars(Gr, [0.25, -0.3, -0.2], "R"),
+         {"x": disc, "y": GAUSS}, range(11)),
+        ("C-d1-dirac", Gz, OperatorAssignment.scalars(Gz, [0.3, -0.2, 0.1j, -0.25], "C"),
+         {"x": GAUSS, "y": disc, "z": dirac}, range(11)),
+        ("R-d1-dirac", Gz, OperatorAssignment.scalars(Gz, [-0.3, 0.2, -0.1, 0.25], "R"),
+         {"x": dirac, "y": GAUSS, "z": disc}, range(11)),
+        ("C-d2", G3, OperatorAssignment("C", 2, tuple(
+            0.15 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3)),
+            G3), {"x": GAUSS, "y": disc}, range(9)),
+        ("R-d2", Gr, OperatorAssignment("R", 2, (
+            sym(0.1 * rng.normal(size=(2, 2))), sym(0.1 * rng.normal(size=(2, 2))),
+            0.2 * rng.normal(size=(2, 2))), Gr), {"x": GAUSS, "y": disc}, range(9)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _bit_cases(), ids=lambda c: c[0])
+def test_expansion_matches_per_multiset_oracle_bit_for_bit(case):
+    _, G, M, lam, max_totals = case
+    for T in max_totals:
+        res = expansion_value(G, M, lam, T)
+        value, ledger = _per_multiset_expansion(G, M, lam, T)
+        assert type(res.value) is type(value) and repr(res.value) == repr(value), T
+        assert [(s, tl, type(c), repr(c)) for s, tl, c in res.ledger] == \
+            [(s, tl, type(c), repr(c)) for s, tl, c in ledger], T
+
+
+def test_odd_incidence_is_refused(monkeypatch):
+    # every class incidence is even; a form counting one end of a self-loop is not
+    form = loop_expansion._vertex_form
+    monkeypatch.setattr(loop_expansion, "_vertex_form", lambda G, sites: form(G, sites) - 1)
+    G = _self_loop_graph()
+    M = OperatorAssignment.scalars(G, [0.3], "C")
+    with pytest.raises(AssertionError, match="odd incidence count"):
+        expansion_value(G, M, {"x": GAUSS}, 2)
+
+
 def test_expansion_two_vertex_oracle():
     G = MultiGraph(("x", "y"), (("x", "y"), ("y", "x")))
     M = OperatorAssignment.scalars(G, [0.3, 0.25], "C")

@@ -26,7 +26,12 @@ from u1higgs.gauge_core import (
     winding_vector,
 )
 from u1higgs.lattice_geom import DomainError, Rect, build_lattice
-from u1higgs.loop_expansion import NumericalError, c_coeff, higgs_site_measure
+from u1higgs.loop_expansion import (
+    NumericalError,
+    c_coeff,
+    higgs_loop_coefficients,
+    higgs_site_measure,
+)
 from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
     BLOCK_STEPS,
@@ -419,6 +424,31 @@ def test_mc_vs_loop_expansion_n2():
     mc = higgs_weight_mc(g, QUARTIC, stream(14), n_samples=40000)
     loop = higgs_weight(g, QUARTIC, "loop-expansion")
     assert abs(mc.value - loop.value) < 4 * mc.stderr + 2 * loop.stderr
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0])
+def test_truncated_higgs_weight_is_bounded_by_positivity(c):
+    """Every multiset term of the Higgs expansion is a nonnegative weight
+    times cos<w, X>, so D_T(0) grows with T, D_T(0) <= D(0), and the omitted
+    tail obeys |D(X) - D_T(X)| <= D(0) - D_T(0) at every field X.  Checked at
+    N=2 against fixed-seed Monte Carlo estimates D-hat of 100 000 draws, at
+    the zero field and at nine fields (three pure draws, unscaled and scaled
+    by 4 and by 8).  At c = 4 the importance weights are so
+    heavy-tailed that se(0) is of the order of D-hat(0), so there the two
+    Monte Carlo bounds hold with little to spare for a wrong D_T."""
+    geom = build_lattice(2)
+    pot = PotentialSpec("quartic", c=c)
+    zero = GaugeField.identity(geom)
+    coeffs = {T: higgs_loop_coefficients(geom, pot, T) for T in (2, 4, 6, 8)}
+    at_zero = [coeffs[T].evaluate(zero) for T in (2, 4, 6, 8)]
+    assert at_zero == sorted(at_zero)
+    mc0 = higgs_weight_mc(zero, pot, stream(32), n_samples=100_000)
+    assert at_zero[-1] <= mc0.value + 3 * mc0.stderr
+    delta = mc0.value - at_zero[-1]
+    draws = [sample_pure_angles(geom, stream(31, k)) for k in range(3)]
+    for k, g in enumerate(psi(geom, scale * X) for X in draws for scale in (1.0, 4.0, 8.0)):
+        mc = higgs_weight_mc(g, pot, stream(33, k), n_samples=100_000)
+        assert abs(mc.value - coeffs[8].evaluate(g)) <= delta + 3 * (mc.stderr + mc0.stderr), k
 
 
 def test_weight_dispatch_and_positivity():
