@@ -547,8 +547,8 @@ def _per_multiset_expansion(G, M, lam, max_total):
 
 
 def _graph_of(desc):
-    """MultiGraph and operators of a `loopexp` graph file's scalar entries
-    (a [re, im] pair or a 1 x 1 matrix of one)."""
+    """MultiGraph and operators of a `loopexp` graph file whose edges carry
+    a `value` or a 1 x 1 `matrix` of one [re, im] pair."""
     G = MultiGraph(tuple(desc["vertices"]), tuple((e["from"], e["to"]) for e in desc["edges"]))
     values = [complex(*e["matrix"][0][0]) if "matrix" in e else e["value"]
               for e in desc["edges"]]
@@ -571,7 +571,7 @@ def _bit_cases():
     def sym(a):
         return a + a.T
 
-    cases = [
+    return [
         ("golden-C", golden, golden_ops, {"x": GAUSS, "y": GAUSS}, [10]),
         ("C-d1", G3, OperatorAssignment.scalars(G3, [0.2 - 0.1j, -0.15 + 0.05j, 0.3j], "C"),
          {"x": GAUSS, "y": disc}, range(11)),
@@ -588,7 +588,6 @@ def _bit_cases():
             sym(0.1 * rng.normal(size=(2, 2))), sym(0.1 * rng.normal(size=(2, 2))),
             0.2 * rng.normal(size=(2, 2))), Gr), {"x": GAUSS, "y": disc}, range(9)),
     ]
-    return cases
 
 
 @pytest.mark.parametrize("case", _bit_cases(), ids=lambda c: c[0])
