@@ -84,7 +84,7 @@ def _write_manifest(outdir, command, config, seed, outputs):
 
 
 def _ensure_outdir(args):
-    out = args.out or os.environ.get("U1HIGGS_OUT", ".")
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -134,6 +134,8 @@ def _write_chain_csv(path, X):
 
 def cmd_sample(args):
     geom = build_lattice(args.N)
+    if args.mode == "pure" and args.samples < 1:
+        raise DomainError(f"--samples {args.samples}: need at least 1")
     seed = _seed_of(args)
     out = _ensure_outdir(args)
     config = {"mode": args.mode, "N": args.N, "samples": args.samples,
@@ -204,12 +206,24 @@ def cmd_norms(args):
 
 # ---------------------------------------------------------------- loopexp
 
+def _is_real(x) -> bool:
+    """Whether a JSON value is a number; true and false are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _number(v, where):
     """A real number or a [re, im] pair from the graph file; anything else is
     a usage error naming where it stands."""
     parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    if not all(isinstance(p, (int, float)) for p in parts):
+    if not all(_is_real(p) for p in parts):
         raise DomainError(f"graph file: {where} {v!r} is not a number or [re, im] pair")
+    return v
+
+
+def _vertex(v, where):
+    """A vertex name from the graph file: a string or a number."""
+    if not (isinstance(v, str) or _is_real(v)):
+        raise DomainError(f"graph file: {where} {v!r} is not a string or a number")
     return v
 
 
@@ -246,7 +260,12 @@ def _parse_measure(spec, where):
     if kind == "dirac0":
         return RadialMeasure.dirac0()
     if kind == "discrete":
-        return RadialMeasure.discrete([tuple(p) for p in _graph_key(spec, "points", where)])
+        points = _graph_key(spec, "points", where)
+        if not (isinstance(points, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(map(_is_real, p)) for p in points)):
+            raise DomainError(f"graph file: {where} 'points' = {points!r} is not a list "
+                              "of [radius, mass] number pairs")
+        return RadialMeasure.discrete([tuple(p) for p in points])
     raise DomainError(f"unsupported measure kind {kind!r} in graph file")
 
 
@@ -260,8 +279,9 @@ def cmd_loopexp(args):
     edge_descs = _graph_key(desc, "edges", "the graph")
     if not (isinstance(vertices, list) and isinstance(edge_descs, list)):
         raise ConfigurationError("graph file: 'vertices' and 'edges' must be lists")
-    vertices = tuple(vertices)
-    edges = tuple((_graph_key(e, "from", f"edge {i}"), _graph_key(e, "to", f"edge {i}"))
+    vertices = tuple(_vertex(v, "vertex") for v in vertices)
+    edges = tuple((_vertex(_graph_key(e, "from", f"edge {i}"), f"edge {i} 'from'"),
+                   _vertex(_graph_key(e, "to", f"edge {i}"), f"edge {i} 'to'"))
                   for i, e in enumerate(edge_descs))
     G = MultiGraph(vertices, edges)
     mats = tuple(_parse_matrix(e["matrix"], dim, f"edge {i}") if "matrix" in e

@@ -17,6 +17,8 @@ import numpy as np
 from .lattice_geom import Bond, DomainError, LatticeGeometry, build_lattice
 
 TWO_PI = 2.0 * np.pi
+UNIT_TOL = 1e-12   # |z| - 1 allowed in log_u1
+AXIAL_TOL = 1e-12  # tree-bond angle allowed in is_axial
 
 
 def wrap_angle(x):
@@ -25,15 +27,15 @@ def wrap_angle(x):
     return -(y - np.pi)
 
 
-def log_u1(z, tol: float = 1e-12):
+def log_u1(z):
     """Principal logarithm of a unit complex number, valued in [-pi, pi).
 
-    Accepts either a unit complex number (checked to `tol`) or a real angle,
-    which is wrapped into the branch.
+    Accepts either a unit complex number (checked to UNIT_TOL) or a real
+    angle, which is wrapped into the branch.
     """
     z = np.asarray(z)
     if np.iscomplexobj(z):
-        if np.any(np.abs(np.abs(z) - 1.0) > tol):
+        if np.any(np.abs(np.abs(z) - 1.0) > UNIT_TOL):
             raise DomainError("log_u1 requires unit modulus")
         x = np.angle(z)
     else:
@@ -406,30 +408,30 @@ def to_axial(g: GaugeField) -> tuple[GaugeTransform, GaugeField]:
     return u, fixed
 
 
-def is_axial(g: GaugeField, tol: float = 1e-12) -> bool:
-    """Test oracle: whether every tree bond of `to_axial` is within tol of 0."""
-    return bool(np.all(np.abs(g.theta_h) <= tol)
-                and np.all(np.abs(g.theta_v[0, :]) <= tol))
+def is_axial(g: GaugeField) -> bool:
+    """Test oracle: whether every tree bond of `to_axial` is within
+    AXIAL_TOL of 0."""
+    return bool(np.all(np.abs(g.theta_h) <= AXIAL_TOL)
+                and np.all(np.abs(g.theta_v[0, :]) <= AXIAL_TOL))
 
 
 def random_closed_loop(geom: LatticeGeometry, rng: np.random.Generator,
-                       walk_len: int = 20, interior: bool = False) -> LatticeLoop:
+                       walk_len: int = 20) -> LatticeLoop:
     """Test oracle input: a closed random walk bridged back to its start by an
     L-shaped return, on which tests check the holonomy and winding identities.
 
-    The walk stays inside the lattice (inside the interior if requested);
-    the return path goes along x first, then along y.
+    The walk stays inside the lattice; the return path goes along x first,
+    then along y.
     """
     n = geom.n
-    lo, hi = (1, n - 1) if interior else (0, n)
-    start = (int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
+    start = (int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1)))
     nodes = [start]
     cur = start
     steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     for _ in range(walk_len):
         d1, d2 = steps[rng.integers(0, 4)]
         nxt = (cur[0] + d1, cur[1] + d2)
-        if lo <= nxt[0] <= hi and lo <= nxt[1] <= hi:
+        if 0 <= nxt[0] <= n and 0 <= nxt[1] <= n:
             nodes.append(nxt)
             cur = nxt
     sx = 1 if start[0] > cur[0] else -1
@@ -442,6 +444,6 @@ def random_closed_loop(geom: LatticeGeometry, rng: np.random.Generator,
         nodes.append(cur)
     if len(nodes) == 1:
         # degenerate walk: backtracking 2-step loop
-        mid = (start[0] + 1, start[1]) if start[0] < hi else (start[0] - 1, start[1])
+        mid = (start[0] + 1, start[1]) if start[0] < n else (start[0] - 1, start[1])
         nodes = [start, mid, start]
     return LatticeLoop(tuple(nodes), geom.N)

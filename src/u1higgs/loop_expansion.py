@@ -48,10 +48,13 @@ DEFAULT_MAX_LEN = 16
 DFS_NODE_BUDGET = 5_000_000  # generator nodes (walk prefixes) per enumeration
 MULTISET_BUDGET = 2_000_000
 RADIUS_TOL = 1e-13  # relative tail mass left beyond a radial cutoff
+LOG_CONVEX_JMAX = 10  # moments checked by check_log_convex_moments
+LOG_CONVEX_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
-    """Raised when a quadrature fails to converge under refinement."""
+    """Raised when a quadrature fails to converge under refinement, or a
+    loop expansion overflows."""
 
 
 # --------------------------------------------------------------------------
@@ -182,11 +185,12 @@ class RadialMeasure:
         raise NumericalError("could not find a truncation radius")
 
 
-def check_log_convex_moments(lam: RadialMeasure, jmax: int = 10, tol: float = 1e-9) -> bool:
-    """Test oracle: log-convex moments, moment(j)^2 <= moment(j-1) moment(j+1)."""
-    m = [lam.moment(j) for j in range(jmax + 2)]
-    return all(m[j] ** 2 <= m[j - 1] * m[j + 1] * (1 + tol) + 1e-300
-               for j in range(1, jmax + 1))
+def check_log_convex_moments(lam: RadialMeasure) -> bool:
+    """Test oracle: log-convex moments, moment(j)^2 <= moment(j-1) moment(j+1)
+    for j = 1 .. LOG_CONVEX_JMAX, to a relative LOG_CONVEX_TOL."""
+    m = [lam.moment(j) for j in range(LOG_CONVEX_JMAX + 2)]
+    return all(m[j] ** 2 <= m[j - 1] * m[j + 1] * (1 + LOG_CONVEX_TOL) + 1e-300
+               for j in range(1, LOG_CONVEX_JMAX + 1))
 
 
 # --------------------------------------------------------------------------
@@ -340,49 +344,36 @@ def _signed(step) -> tuple[int, int]:
     return (step, 1) if isinstance(step, int) else step
 
 
-class _NodeBudget:
-    """Generator nodes left to a loop enumeration."""
-
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self, found) -> None:
-        """Take one node; `found` is what the enumeration has emitted."""
-        if self.left <= 0:
-            raise ResourceError("loop enumeration budget exhausted; "
-                                f"partial count {len(found)}")
-        self.left -= 1
-
-
-def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str,
-                           node_budget: int = DFS_NODE_BUDGET):
+def enumerate_loop_classes(G: MultiGraph, max_len: int, fieldtag: str):
     """One representative per loop equivalence class of length <= max_len.
 
-    Classes are returned sorted by (length, canonical sequence).  The node
-    budget counts the generator's nodes (the walk prefixes it extends).
+    Classes are returned sorted by (length, canonical sequence).
     """
     if max_len > DEFAULT_MAX_LEN:
         raise ResourceError(f"max_len {max_len} exceeds the guard {DEFAULT_MAX_LEN}; "
-                            "call with a smaller bound or use the internal "
-                            "enumerator with an explicit node budget")
-    return _enumerate_raw(G, max_len, fieldtag, node_budget)
+                            "call with a smaller bound")
+    return _enumerate_raw(G, max_len, fieldtag)
 
 
-def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str,
-                   node_budget: int = DFS_NODE_BUDGET):
+def _enumerate_raw(G: MultiGraph, max_len: int, fieldtag: str):
     """Canonical loop classes by the FKM prenecklace rule (see the module
     docstring): every walk prefix the generator extends is a prenecklace,
-    so each class is emitted once, by its canonical sequence."""
+    so each class is emitted once, by its canonical sequence.  More than
+    DFS_NODE_BUDGET generator nodes (walk prefixes) raise ResourceError."""
     if max_len < 1:
         return []
     moves = _move_table(G, fieldtag)
     flip = _reversed_letters(G) if fieldtag == "R" else None
-    budget = _NodeBudget(node_budget)
+    left = DFS_NODE_BUDGET
     found = []
     seq = []
 
     def grow(cur, start, t, p):
-        budget.spend(found)
+        nonlocal left
+        if left <= 0:
+            raise ResourceError("loop enumeration budget exhausted; "
+                                f"partial count {len(found)}")
+        left -= 1
         if cur == start and t % p == 0:
             key = tuple(seq)
             if flip is None:
@@ -471,8 +462,11 @@ def _class_sums(classes, form: np.ndarray) -> np.ndarray:
     """(classes, columns) sum over each class's steps of its edge's row of
     the per-edge `form`, in the form's dtype."""
     lengths = [c.length for c in classes]
-    steps = np.fromiter((_signed(s)[0] for c in classes for s in c.edges),
-                        dtype=np.int64, count=sum(lengths))
+    if classes and isinstance(classes[0].edges[0], tuple):  # real (edge, sign) steps
+        steps = [e for c in classes for e, _ in c.edges]
+    else:
+        steps = [e for c in classes for e in c.edges]
+    steps = np.array(steps, dtype=np.int64)
     return np.add.reduceat(form[steps], np.cumsum([0] + lengths, dtype=np.int64)[:-1],
                            axis=0, dtype=form.dtype)
 
@@ -576,7 +570,9 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
       * `value` is the left-to-right sum from 0.0 (`np.add.accumulate`,
         not the pairwise `np.sum`).
     The empty multiset's contribution, and every contribution of a real
-    field, is a float; the others of a complex field are complex.
+    field, is a float; the others of a complex field are complex.  A class
+    trace, a power, a contribution or `value` that overflows raises
+    NumericalError.
     """
     lam = dict(lam)
     fieldtag, d = M.fieldtag, M.dim
@@ -585,7 +581,9 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     if max_total > 40:
         raise ResourceError("max_total too large for class enumeration")
     classes = _enumerate_raw(G, max_total, fieldtag)
-    values = [tr / c.S for tr, c in zip(_class_traces(classes, M), classes)]
+    with np.errstate(all="ignore"):  # an overflow shows in `value`, checked below
+        traces = _class_traces(classes, M)
+    values = [tr / c.S for tr, c in zip(traces, classes)]
     lengths = [c.length for c in classes]
     # vertex incidences never exceed 2 * max_total
     coeffs = _site_coeffs(G.vertices, lam, fieldtag, d, max_total)
@@ -598,8 +596,11 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
     # tables of powers and of signature texts
     top = [max_total // n for n in lengths]
     first = np.cumsum([-1] + top[:-1], dtype=np.int64)
-    powers = np.array([v ** m for v, n in zip(values, top) for m in range(1, n + 1)],
-                      dtype=complex if fieldtag == "C" else float)
+    try:
+        powers = np.array([v ** m for v, n in zip(values, top) for m in range(1, n + 1)],
+                          dtype=complex if fieldtag == "C" else float)
+    except OverflowError:  # CPython's `**` raises where a finite power overflows
+        raise NumericalError("loop expansion: a power of a class trace overflows") from None
     texts = np.array([f"{m}x{list(c.edges)}" for c, n in zip(classes, top)
                       for m in range(1, n + 1)], dtype=object)
     joined = "|" + texts  # each text after the separator of a later pick
@@ -626,10 +627,16 @@ def expansion_value(G: MultiGraph, M: OperatorAssignment, lam,
             else:
                 re[rows] = re[rows] * p / f
             sig[rows] = texts[pair] if col == 0 else sig[rows] + joined[pair]
-    value = float(np.add.accumulate(np.r_[0.0, re])[-1])
+        sum_re = float(np.add.accumulate(np.r_[0.0, re])[-1])
+        sum_im = float(np.add.accumulate(np.r_[0.0, im])[-1])
+    # every class and power enters some term, and a non-finite term (even
+    # times a zero site factor) makes the running sum non-finite
+    if not (math.isfinite(sum_re) and math.isfinite(sum_im)):
+        raise NumericalError("loop expansion: a class trace, a power, a term or "
+                             "their sum overflows")
+    value = sum_re if fieldtag == "R" else complex(sum_re, sum_im)
     terms = re.tolist()
     if fieldtag == "C":
-        value = complex(value, float(np.add.accumulate(np.r_[0.0, im])[-1]))
         terms[1:] = map(complex, terms[1:], im[1:].tolist())
     ledger = list(zip(sig.tolist(), total.tolist(), terms))
     tail = _tail_majorant(G, M, lam, max_total)

@@ -32,6 +32,9 @@ SIGMA_POLICY = 3.0
 # E|sum l(p) log g(dp)|^q <= (C q sqrt(omega))^q; pure-gauge values of the
 # ratio are 0.5 (q=2) and 3^(1/4)/4 ~ 0.33 (q=4), frozen with margin
 PLAQ_SUM_C = 1.0
+UV_RATIO_BOUND = 1.5        # criterion 10: max/min of the per-N norm moments
+DECORRELATION_NODES = 140   # Gauss-Hermite nodes per axis
+DECORRELATION_RTOL = 1e-8   # relative gap allowed between the two sides
 
 
 @dataclass
@@ -101,38 +104,38 @@ def _pure_loop_sums(geom, w, samples, seed, wrapped=False):
     return out, wraps
 
 
-def _check_mode(mode):
+def _check_run(mode, N_list, samples, method):
+    """Refuse, before any stream opens, an unknown mode, fewer than two
+    samples (no standard error), an empty scan, and an interacting run over
+    an N that `method` cannot weigh."""
     if mode not in ("pure", "interacting"):
         raise DomainError(f"unknown mode {mode!r}")
-
-
-def _check_chain_scales(mode, N_list, method):
-    """Refuse, before any chain runs, an interacting scan over an N that
-    `method` cannot weigh."""
+    if samples < 2:
+        raise DomainError(f"samples = {samples}: need at least 2 for a standard error")
+    if not N_list:
+        raise DomainError("N_list is empty")
     if mode == "interacting":
         for N in N_list:
             check_weight_method(method, N)
 
 
-def _loop_setup(N, loop, mode, method):
-    """(geom, loop, omega, winding weights); the loop defaults to the half square.
-    An interacting run's weight method and N are checked before the pure gate."""
-    _check_mode(mode)
-    _check_chain_scales(mode, (N,), method)
+def _loop_setup(N, samples, mode, method):
+    """(geom, omega, winding weights) of the half-square loop, the loop of
+    all three loop experiments.  The run is checked before the pure gate."""
+    _check_run(mode, (N,), samples, method)
     geom = build_lattice(N)
-    if loop is None:
-        loop = half_square_loop(geom)
-    return geom, loop, omega(loop), winding_vector(loop).astype(float)
+    loop = half_square_loop(geom)
+    return geom, omega(loop), winding_vector(loop).astype(float)
 
 
-def _loop_sums(verify, arg, geom, loop, w, samples, mode, seed, pot, method,
+def _loop_sums(verify, arg, geom, w, samples, mode, seed, pot, method,
                chain_kw, wrapped=False):
     """(sums, extras, chain result or None).  Interacting mode first gates on
     `verify` itself in pure mode at a tenth of the samples; None if it fails."""
     if mode == "pure":
         sums, wraps = _pure_loop_sums(geom, w, samples, seed, wrapped=wrapped)
         return sums, {"wrap_events": wraps}, None
-    gate = verify(geom.N, loop, arg, max(2000, samples // 10), "pure",
+    gate = verify(geom.N, arg, max(2000, samples // 10), "pure",
                   rngmod.spawn_seed(seed, 1))
     if gate.verdict == "fail":
         return None
@@ -147,19 +150,20 @@ def _loop_sums(verify, arg, geom, loop, w, samples, mode, seed, pot, method,
                   "warnings": list(res.warnings)}, res
 
 
-def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
-               samples: int = 100_000, mode: str = "pure", seed: int = 0,
-               pot: PotentialSpec = PotentialSpec(), method: str = "loop-expansion",
+def verify_mgf(N: int, eta: float = 1.0, samples: int = 100_000, mode: str = "pure",
+               seed: int = 0, pot: PotentialSpec = PotentialSpec(),
+               method: str = "loop-expansion",
                chain_kw: dict | None = None) -> ExperimentResult:
     """Pure gauge: E e^{eta B^2} equals (1 - 2 eta omega)^(-1/2) (two-sided).
     Interacting: E e^{eta A^2} is bounded by the same closed form (one-sided).
+    B and A are summed over the half-square loop.
     """
-    geom, loop, om, w = _loop_setup(N, loop, mode, method)
+    geom, om, w = _loop_setup(N, samples, mode, method)
     if not (0 <= eta < 0.5 / om):
         raise DomainError(f"eta = {eta} outside [0, 1/(2 omega)) with omega = {om}")
     reference = (1.0 - 2.0 * eta * om) ** (-0.5)
     params = {"N": N, "eta": eta, "omega": om, "mode": mode}
-    got = _loop_sums(verify_mgf, eta, geom, loop, w, samples, mode, seed, pot,
+    got = _loop_sums(verify_mgf, eta, geom, w, samples, mode, seed, pot,
                      method, chain_kw)
     if got is None:
         return ExperimentResult("mgf", params, math.nan, math.nan, reference, "fail",
@@ -177,18 +181,17 @@ def verify_mgf(N: int, loop: LatticeLoop | None = None, eta: float = 1.0,
                             len(sums), seed, extras)
 
 
-def verify_tail(N: int, loop: LatticeLoop | None = None,
-                x_grid=(0.0, 0.5, 1.0, 1.5), samples: int = 100_000,
+def verify_tail(N: int, x_grid=(0.0, 0.5, 1.0, 1.5), samples: int = 100_000,
                 mode: str = "pure", seed: int = 0,
                 pot: PotentialSpec = PotentialSpec(),
                 method: str = "loop-expansion",
                 chain_kw: dict | None = None) -> ExperimentResult:
     """P[|A| >= x] <= sqrt(2) e^{-x^2/(4 omega)} at every grid point
     (one-sided with binomial buffer); the pure mode also cross-checks the
-    exact Gaussian tail."""
-    geom, loop, om, w = _loop_setup(N, loop, mode, method)
+    exact Gaussian tail.  A is summed over the half-square loop."""
+    geom, om, w = _loop_setup(N, samples, mode, method)
     params = {"N": N, "omega": om, "mode": mode}
-    got = _loop_sums(verify_tail, x_grid, geom, loop, w, samples, mode, seed,
+    got = _loop_sums(verify_tail, x_grid, geom, w, samples, mode, seed,
                      pot, method, chain_kw)
     if got is None:
         return ExperimentResult("tail", params, math.nan, math.nan, None, "fail", 0,
@@ -217,19 +220,19 @@ def verify_tail(N: int, loop: LatticeLoop | None = None,
                             seed, extras)
 
 
-def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
-                                 q_list=(2, 4), samples: int = 100_000,
+def verify_plaquette_sum_moments(N: int, q_list=(2, 4), samples: int = 100_000,
                                  mode: str = "pure", seed: int = 0,
                                  pot: PotentialSpec = PotentialSpec(),
                                  method: str = "loop-expansion",
                                  chain_kw: dict | None = None) -> ExperimentResult:
     """E |sum_p l(p) log g(dp)|^q against the bound shape (C q sqrt(omega))^q
     with the calibration constant; the q = 2 pure value also checks omega.
-    Growth in q is reported as a diagnostic."""
-    geom, loop, om, w = _loop_setup(N, loop, mode, method)
+    The plaquettes p are those inside the half-square loop.  Growth in q is
+    reported as a diagnostic."""
+    geom, om, w = _loop_setup(N, samples, mode, method)
     params = {"N": N, "omega": om, "mode": mode}
     # log g(dp) is the wrapped plaquette angle
-    got = _loop_sums(verify_plaquette_sum_moments, q_list, geom, loop, w, samples,
+    got = _loop_sums(verify_plaquette_sum_moments, q_list, geom, w, samples,
                      mode, seed, pot, method, chain_kw, wrapped=True)
     if got is None:
         return ExperimentResult("plaquette_sum_moments", params, math.nan, math.nan,
@@ -259,18 +262,17 @@ def verify_plaquette_sum_moments(N: int, loop: LatticeLoop | None = None,
 
 
 def verify_decorrelation(sigmaA: float, sigmaB: float, sigmaAB: float,
-                         eta: float, nodes: int = 140,
-                         rtol: float = 1e-8) -> ExperimentResult:
+                         eta: float) -> ExperimentResult:
     """Both sides of E[e^{eta A^2} cos B] = exp[(sAB^2 / 2 sA^2)
     (1 - 1/(1 - 2 eta sA^2))] E[e^{eta A^2}] E[cos B], each evaluated by
-    Gauss-Hermite quadrature."""
+    Gauss-Hermite quadrature; they must agree to DECORRELATION_RTOL."""
     cov = np.array([[sigmaA ** 2, sigmaAB], [sigmaAB, sigmaB ** 2]])
     if np.linalg.eigvalsh(cov).min() < -1e-12:
         raise DomainError("covariance matrix is not positive semi-definite")
     if not eta < 0.5 / sigmaA ** 2:
         raise DomainError("eta out of range")
     L = np.linalg.cholesky(cov + 1e-15 * np.eye(2))
-    x, wgt = np.polynomial.hermite.hermgauss(nodes)
+    x, wgt = np.polynomial.hermite.hermgauss(DECORRELATION_NODES)
     z = math.sqrt(2.0) * x
     wn = wgt / math.sqrt(math.pi)
     z1, z2 = np.meshgrid(z, z, indexing="ij")
@@ -284,11 +286,11 @@ def verify_decorrelation(sigmaA: float, sigmaB: float, sigmaAB: float,
                       * (1.0 - 1.0 / (1.0 - 2.0 * eta * sigmaA ** 2)))
     rhs = factor * e_eta * e_cos
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    verdict = "pass" if rel <= rtol else "fail"
+    verdict = "pass" if rel <= DECORRELATION_RTOL else "fail"
     return ExperimentResult(
         "decorrelation",
         {"sigmaA": sigmaA, "sigmaB": sigmaB, "sigmaAB": sigmaAB, "eta": eta},
-        lhs, 0.0, rhs, verdict, nodes * nodes, 0,
+        lhs, 0.0, rhs, verdict, DECORRELATION_NODES ** 2, 0,
         {"relative_error": rel, "factor": factor,
          "E_exp_etaA2": e_eta, "E_cosB": e_cos})
 
@@ -312,10 +314,9 @@ def verify_flatness_moments(N_list=(2, 3, 4), alpha: float = 0.5, q: int = 5,
                             method: str = "loop-expansion") -> ExperimentResult:
     """E[[g]_alpha^{2q}] across N; informational boundedness diagnostic
     (flagged when max over N exceeds twice the min)."""
-    _check_mode(mode)
+    _check_run(mode, N_list, samples, method)
     if not (0 <= alpha < 1 and q > 2.0 / (1.0 - alpha)):
         raise DomainError("need alpha in [0,1) and q > 2/(1-alpha)")
-    _check_chain_scales(mode, N_list, method)
     per_n = {}
     for N in N_list:
         geom, configs = _scan_configs(N, samples, seed, mode, pot, method)
@@ -337,15 +338,13 @@ def verify_uv_stability(N_list=(2, 3, 4, 5), beta: float = 0.5, q: float = 2.0,
                         samples: int = 1000, alpha: float = 0.5, seed: int = 0,
                         mode: str = "pure",
                         pot: PotentialSpec = PotentialSpec(),
-                        method: str = "loop-expansion",
-                        ratio_bound: float = 1.5) -> ExperimentResult:
+                        method: str = "loop-expansion") -> ExperimentResult:
     """E[ |log g^u|_beta^q ] across N for gauge-fixed fields; verdict is the
-    property-based boundedness check max/min <= ratio_bound.  The fallback
+    property-based boundedness check max/min <= UV_RATIO_BOUND.  The fallback
     frequency (theorem scale m exceeding N) is monitored per N."""
-    _check_mode(mode)
+    _check_run(mode, N_list, samples, method)
     if not (0.0 < beta < 1.0):
         raise DomainError("beta must be in (0, 1)")
-    _check_chain_scales(mode, N_list, method)
     per_n = {}
     for N in N_list:
         geom, configs = _scan_configs(N, samples, seed, mode, pot, method)
@@ -360,12 +359,12 @@ def verify_uv_stability(N_list=(2, 3, 4, 5), beta: float = 0.5, q: float = 2.0,
                     "fallback_fraction": fallbacks / samples}
     means = [per_n[N]["mean"] for N in N_list]
     ratio = max(means) / max(min(means), 1e-300)
-    verdict = "pass" if ratio <= ratio_bound else "fail"
+    verdict = "pass" if ratio <= UV_RATIO_BOUND else "fail"
     return ExperimentResult(
         "uv_stability",
         {"N_list": list(N_list), "beta": beta, "q": q, "alpha": alpha,
-         "mode": mode, "ratio_bound": ratio_bound},
-        ratio, 0.0, ratio_bound, verdict, samples * len(N_list), seed,
+         "mode": mode, "ratio_bound": UV_RATIO_BOUND},
+        ratio, 0.0, UV_RATIO_BOUND, verdict, samples * len(N_list), seed,
         {"per_N": per_n})
 
 

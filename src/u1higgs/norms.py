@@ -64,8 +64,8 @@ and each order above starts at r = 0, j = 0, L = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,8 +82,6 @@ class OneForm:
     geom: LatticeGeometry
     h: np.ndarray  # (n, n+1): value on ('h', k1, k2)
     v: np.ndarray  # (n+1, n): value on ('v', k1, k2)
-    _ph: np.ndarray | None = field(default=None, repr=False)
-    _pv: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.geom.n
@@ -100,17 +98,16 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.geom, self.h + other.h, self.v + other.v)
 
+    @cached_property
     def prefix_tables(self):
         """P[t, j]: partial sums along each line; horizontal lines indexed by
         row k2 with j running over k1, vertical lines by column k1."""
-        if self._ph is None:
-            n = self.geom.n
-            ph = np.zeros((n + 1, n + 1))
-            ph[:, 1:] = np.cumsum(self.h.T, axis=1)  # [row k2, k1]
-            pv = np.zeros((n + 1, n + 1))
-            pv[:, 1:] = np.cumsum(self.v, axis=1)    # [column k1, k2]
-            self._ph, self._pv = ph, pv
-        return self._ph, self._pv
+        n = self.geom.n
+        ph = np.zeros((n + 1, n + 1))
+        ph[:, 1:] = np.cumsum(self.h.T, axis=1)  # [row k2, k1]
+        pv = np.zeros((n + 1, n + 1))
+        pv[:, 1:] = np.cumsum(self.v, axis=1)    # [column k1, k2]
+        return ph, pv
 
 
 def log_oneform(g: GaugeField) -> OneForm:
@@ -124,7 +121,7 @@ def eval_segment(A: OneForm, l: Segment) -> float:
         raise DomainError("segment scale does not match the one-form")
     if l.nbonds == 0:
         return 0.0
-    ph, pv = A.prefix_tables()
+    ph, pv = A.prefix_tables
     k1, k2 = l.base
     if l.direction == 1:
         return float(ph[k2, k1 + l.nbonds] - ph[k2, k1])
@@ -252,7 +249,7 @@ def norm_gr_argmax(A: OneForm, alpha: float) -> tuple[float, dict]:
     if not (0.0 <= alpha <= 1.0):
         raise DomainError("alpha must be in [0, 1]")
     n = A.geom.n
-    ph, pv = A.prefix_tables()
+    ph, pv = A.prefix_tables
     C = np.concatenate((ph, pv))  # [(direction, line), j]
     denom = (np.arange(1, n + 1) * 2.0 ** (-A.geom.N)) ** alpha
     best, (L, r, j) = pair_sup(C, pair_range_table(C), denom, np.ones(2 * n + 2), True)
@@ -280,7 +277,7 @@ def seminorm_rho_argmax(A: OneForm, alpha: float) -> tuple[float, dict]:
     # rho^alpha = (len * dist)^{alpha/2} separates into per-factor powers
     pow_half = (np.arange(n + 1) * 2.0 ** (-N)) ** (alpha / 2.0)
     best, arg = -1.0, None
-    for direction, table in enumerate(A.prefix_tables(), start=1):
+    for direction, table in enumerate(A.prefix_tables, start=1):
         C, j1, j2 = pair_rows(table.T)  # [extent pair j1 < j2, line]
         val, (L, c, t1) = pair_sup(C, pair_range_table(C), pow_half[1:], pow_half[j2 - j1],
                                    True, key=lambda L, r, j: (j, L, r))

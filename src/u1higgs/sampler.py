@@ -360,14 +360,15 @@ class ChainResult:
 
 
 IAT_LAG_CHUNK = 64  # autocorrelation lags computed per extension of the window
+IAT_WINDOW_C = 6.0  # the window stops at the first lag >= IAT_WINDOW_C * tau
 
 
-def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
+def integrated_autocorr_time(series: np.ndarray) -> float:
     """Self-consistent windowed IAT estimate of a scalar series.
 
-    The window stops near c * tau, so the autocorrelation is computed lazily,
-    IAT_LAG_CHUNK lags at a time, each lag as one dot product: O(n tau)
-    work instead of the O(n^2) of all n lags."""
+    The window stops near IAT_WINDOW_C * tau, so the autocorrelation is
+    computed lazily, IAT_LAG_CHUNK lags at a time, each lag as one dot
+    product: O(n tau) work instead of the O(n^2) of all n lags."""
     x = np.asarray(series, dtype=float)
     x = x - x.mean()
     n = len(x)
@@ -384,7 +385,7 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
             acf[filled:stop] /= norm
             filled = stop
         tau = 1.0 + 2.0 * acf[1:window + 1].sum()
-        if window >= c * tau:
+        if window >= IAT_WINDOW_C * tau:
             break
     return float(max(tau, 1.0))
 

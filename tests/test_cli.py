@@ -284,14 +284,41 @@ def test_loopexp_missing_graph_key_is_usage_error(drop, tmp_path, capsys):
       "measures": {"x": "gaussian_type"}}, "measure of 'x' is not a JSON object"),
     ({"field": "C", "dim": 1, "vertices": ["x"], "edges": 5}, "must be lists"),
     ({"field": "C", "dim": 1, "vertices": 5, "edges": []}, "must be lists"),
+    *(({"field": "C", "dim": 1, "vertices": ["x"],
+        "edges": [{"from": "x", "to": "x", "value": 0.3}],
+        "measures": {"x": {"kind": "discrete", "points": points}}},
+       f"'points' = {points!r} is not a list of [radius, mass] number pairs")
+      for points in (5, [[1]], [["a", 1]])),
+    ({"field": "C", "dim": 1, "vertices": [[0, 1]], "edges": []},
+     "vertex [0, 1] is not a string or a number"),
+    ({"field": "C", "dim": 1, "vertices": ["x"],
+      "edges": [{"from": "x", "to": [0], "value": 0.3}]}, "edge 0 'to' [0] is not a string"),
+    ({"field": "C", "dim": 1, "vertices": ["x"],
+      "edges": [{"from": "x", "to": "x", "value": True}]}, "edge 0 value True"),
 ], ids=["matrix_shape", "discrete_points", "value", "dim_string", "top_level_list",
-        "measure_not_object", "edges_not_list", "vertices_not_list"])
+        "measure_not_object", "edges_not_list", "vertices_not_list", "points_number",
+        "points_short_pair", "points_string", "vertex_list", "edge_end_list", "value_true"])
 def test_loopexp_bad_graph_entry_is_usage_error(graph, message, tmp_path, capsys):
     # these used to end in an IndexError, KeyError, ValueError,
-    # AttributeError or TypeError traceback with exit 1
+    # AttributeError or TypeError traceback with exit 1; a JSON true value
+    # used to be read as the number 1
     code, ledger = _loopexp(tmp_path, graph)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+@pytest.mark.parametrize("values", [[1e308], [1e100, 1e100]], ids=["power", "trace"])
+def test_loopexp_overflow_is_numerical_error(values, tmp_path, capsys):
+    # these used to end in an OverflowError traceback with exit 1, the second
+    # after a RuntimeWarning from the class traces
+    graph = {"field": "C", "dim": 1, "vertices": ["x"],
+             "edges": [{"from": "x", "to": "x", "value": v} for v in values]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, ledger = _loopexp(tmp_path, graph, max_total="4")
+    assert code == 3
+    assert "overflows" in capsys.readouterr().err
     assert not os.path.exists(ledger)
 
 
@@ -350,6 +377,52 @@ def test_verify_unknown_mode_refused_before_any_work(experiment, tmp_path, monke
     assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
+@pytest.mark.parametrize("experiment, scale, config", [
+    ("mgf", ["--N", "2"], {"samples": 0}),
+    ("mgf", ["--N", "2"], {"samples": 1}),
+    ("mgf", ["--N", "2"], {"samples": -5}),
+    ("tail", ["--N", "2"], {"samples": 1}),
+    ("plaquette-moments", ["--N", "2"], {"samples": 1}),
+    ("flatness-moments", [], {"N_list": []}),
+    ("flatness-moments", [], {"samples": 1}),
+    ("uv-stability", [], {"N_list": []}),
+    ("uv-stability", [], {"samples": 0}),
+], ids=["mgf-0", "mgf-1", "mgf-negative", "tail-1", "plaquette-moments-1",
+        "flatness-empty-N_list", "flatness-1", "uv-empty-N_list", "uv-0"])
+def test_verify_sample_size_refused_before_any_work(experiment, scale, config, tmp_path,
+                                                    monkeypatch, capsys):
+    # these used to return a nan estimate or stderr, or end in a ValueError
+    # traceback
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a sample size with no standard error")
+
+    monkeypatch.setattr(mc_verify.rngmod, "stream", no_work)
+    monkeypatch.setattr(mc_verify, "sample_pure_angles", no_work)
+    monkeypatch.setattr(mc_verify, "sample_interacting", no_work)
+    kwargs = {"N": 2} if scale else {}
+    with pytest.raises(DomainError, match="samples|N_list is empty"):
+        mc_verify.EXPERIMENTS[experiment](**kwargs, **config)
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as f:
+        json.dump(config, f)
+    out = str(tmp_path / "o")
+    assert run(["verify", experiment, *scale, "--config", cpath, "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "results.csv"))
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sample_pure_needs_a_sample(samples, tmp_path, monkeypatch):
+    # --samples 0 used to end in an IndexError, -3 in a ValueError
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was opened for no samples")
+
+    monkeypatch.setattr(cli, "stream", no_stream)
+    out = str(tmp_path / "o")
+    assert run(["sample", "pure", "--N", "2", "--samples", samples, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_verify_config_file(tmp_path):
     cfg = {"sigmaA": 1.0, "sigmaB": 1.0, "sigmaAB": 0.5, "eta": 0.2}
     cpath = str(tmp_path / "cfg.json")
@@ -381,11 +454,27 @@ def test_bad_verify_config_file_is_usage_error(content, tmp_path, capsys):
      "chain_kw takes no key 'bogus'"),
     ("mgf", ["--N", "2", "--mode", "interacting"], {"chain_kw": {"samples": 5}},
      "chain_kw takes no key 'samples'"),
+    # fixed by the paper's checks, not settable: criterion 10's bound, the
+    # decorrelation quadrature and tolerance, the loop of the loop experiments
+    ("uv-stability", [], {"ratio_bound": 100}, "takes no parameter 'ratio_bound'"),
+    ("decorrelation", [], {"sigmaA": 1.0, "sigmaB": 1.0, "sigmaAB": 0.5, "eta": 0.2,
+                           "nodes": 4}, "takes no parameter 'nodes'"),
+    ("decorrelation", [], {"sigmaA": 1.0, "sigmaB": 1.0, "sigmaAB": 0.5, "eta": 0.2,
+                           "rtol": 10}, "takes no parameter 'rtol'"),
+    ("mgf", ["--N", "2"], {"loop": None}, "takes no parameter 'loop'"),
 ], ids=["samples-string", "N_list-int", "mgf-without-N", "chain_kw-n_is-string",
-        "chain_kw-unknown-key", "chain_kw-samples"])
+        "chain_kw-unknown-key", "chain_kw-samples", "uv-ratio_bound", "decorrelation-nodes",
+        "decorrelation-rtol", "mgf-loop"])
 def test_verify_parameter_types_are_usage_errors(experiment, argv, config, message,
-                                                 tmp_path, capsys):
-    # each of these used to end in a TypeError traceback with exit 1
+                                                 tmp_path, monkeypatch, capsys):
+    # the first six used to end in a TypeError traceback with exit 1; the
+    # last four used to be accepted, and loosened or changed the check
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a refused config")
+
+    monkeypatch.setattr(mc_verify, "sample_pure_angles", no_work)
+    monkeypatch.setattr(mc_verify, "sample_interacting", no_work)
+    monkeypatch.setattr(mc_verify.np.polynomial.hermite, "hermgauss", no_work)
     if config is not None:
         cpath = str(tmp_path / "cfg.json")
         with open(cpath, "w") as f:
@@ -395,6 +484,17 @@ def test_verify_parameter_types_are_usage_errors(experiment, argv, config, messa
     assert run(["verify", experiment, *argv, "--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_output_directory_is_out_or_working_directory(tmp_path, monkeypatch):
+    # U1HIGGS_OUT used to stand in for a missing --out; it is ignored now
+    elsewhere, cwd = tmp_path / "elsewhere", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("U1HIGGS_OUT", str(elsewhere))
+    monkeypatch.chdir(cwd)
+    assert run(["lattice", "--N", "2", "--dump"]) == 0
+    assert sorted(os.listdir(cwd)) == ["geometry.json", "manifest.json"]
+    assert not elsewhere.exists()
 
 
 def test_usage_error_no_command():

@@ -13,6 +13,7 @@ from u1higgs.loop_expansion import (
     HIGGS_MAX_LEN,
     EdgeClass,
     MultiGraph,
+    NumericalError,
     OperatorAssignment,
     QuadratureSpec,
     RadialMeasure,
@@ -168,12 +169,14 @@ def test_path_not_returned_as_loop():
             assert G.edges[e0][p0 < 0] == G.edges[e1][p1 > 0]
 
 
-def test_enumeration_budget_guard():
+def test_enumeration_budget_guard(monkeypatch):
     G = MultiGraph(("x",), (("x", "x"), ("x", "x"), ("x", "x")))
     with pytest.raises(ResourceError):
         enumerate_loop_classes(G, 17, "C")
-    with pytest.raises(ResourceError):
-        enumerate_loop_classes(G, 12, "C", node_budget=100)
+    # the enumerator reads the node budget at call time
+    monkeypatch.setattr(loop_expansion, "DFS_NODE_BUDGET", 100)
+    with pytest.raises(ResourceError, match="budget exhausted"):
+        enumerate_loop_classes(G, 12, "C")
 
 
 def _canonicalising_classes(G, max_len, fieldtag):
@@ -230,6 +233,7 @@ def test_class_sums_match_incidence_oracle(fieldtag):
         for sites in (list(G.vertices), ["x"], []):
             assert _class_sums(classes, _vertex_form(G, sites)).tolist() == [
                 [_incidence(G, c).get(v, 0) for v in sites] for c in classes]
+            assert _class_sums([], _vertex_form(G, sites)).shape == (0, len(sites))
 
 
 def _letter_transfer_matrix(G, fieldtag):
@@ -599,6 +603,21 @@ def test_expansion_matches_per_multiset_oracle_bit_for_bit(case):
         assert type(res.value) is type(value) and repr(res.value) == repr(value), T
         assert [(s, tl, type(c), repr(c)) for s, tl, c in res.ledger] == \
             [(s, tl, type(c), repr(c)) for s, tl, c in ledger], T
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fieldtag, values, measure, max_total", [
+    ("C", [1e308], GAUSS, 4),                   # CPython's `**` overflows
+    ("C", [1e100, 1e100], GAUSS, 4),            # the class traces overflow
+    ("R", [1e308], GAUSS, 4),
+    ("C", [1e100, 1e100], RadialMeasure.dirac0(), 4),  # zero site factors
+    ("C", [1.5e307, 1.5e307], GAUSS, 1),        # finite terms, overflowing sum
+], ids=["power", "trace", "real-power", "dirac0", "sum"])
+def test_overflowing_expansion_is_numerical_error(fieldtag, values, measure, max_total):
+    G = MultiGraph(("x",), (("x", "x"),) * len(values))
+    M = OperatorAssignment.scalars(G, values, fieldtag)
+    with pytest.raises(NumericalError, match="overflows"):
+        expansion_value(G, M, {"x": measure}, max_total)
 
 
 def test_odd_incidence_is_refused(monkeypatch):

@@ -251,7 +251,7 @@ def _norm_gr_scan(A, alpha):
     N, n = A.geom.N, A.geom.n
     denom = ((np.arange(1, n + 1) * 2.0 ** (-N)) ** alpha).tolist()
     best, arg = -1.0, None
-    for direction, table in enumerate(A.prefix_tables(), start=1):
+    for direction, table in enumerate(A.prefix_tables, start=1):
         T = table.tolist()
         for t in range(n + 1):
             for j1 in range(n + 1):
@@ -269,7 +269,7 @@ def _seminorm_rho_scan(A, alpha):
     N, n = A.geom.N, A.geom.n
     pow_half = ((np.arange(n + 1) * 2.0 ** (-N)) ** (alpha / 2.0)).tolist()
     best, arg = -1.0, None
-    for direction, table in enumerate(A.prefix_tables(), start=1):
+    for direction, table in enumerate(A.prefix_tables, start=1):
         T = table.tolist()
         for t1 in range(n + 1):
             for t2 in range(t1 + 1, n + 1):

@@ -35,6 +35,7 @@ from u1higgs.loop_expansion import (
 from u1higgs.rng import spawn_seed, stream
 from u1higgs.sampler import (
     BLOCK_STEPS,
+    IAT_WINDOW_C,
     MC_MAX_SCALE,
     WEIGHT_METHODS,
     ChainConfig,
@@ -770,7 +771,7 @@ def test_diamagnetic_inequality_small_run():
     assert est <= math.sqrt(2.0) + 3 * se
 
 
-def _oracle_iat(series, c=6.0):
+def _oracle_iat(series):
     """integrated_autocorr_time over all n lags of np.correlate, and whether
     its window loop stopped before n // 2."""
     x = np.asarray(series, dtype=float)
@@ -782,7 +783,7 @@ def _oracle_iat(series, c=6.0):
     tau = 1.0
     for window in range(1, n // 2):
         tau = 1.0 + 2.0 * acf[1:window + 1].sum()
-        if window >= c * tau:
+        if window >= IAT_WINDOW_C * tau:
             return float(max(tau, 1.0)), True
     return float(max(tau, 1.0)), False
 
